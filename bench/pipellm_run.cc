@@ -2,12 +2,13 @@
  * @file
  * pipellm_run: the one driver binary for declarative scenarios.
  *
- * Every experiment the legacy bench_cluster_scale / bench_faults /
- * bench_soak mains hard-coded now lives in a committed .scenario file
- * under bench/scenarios/; this driver loads any number of them and
- * runs their sweep matrices through scenario::runScenario. Adding a
- * sweep point (a 5th replica count, another fault scale) is a
- * scenario-file edit — no C++ changes, no new binary.
+ * The cluster-scaling, fault, soak and disaggregation experiments live
+ * in committed .scenario files under bench/scenarios/; this binary
+ * loads any number of them and runs their sweep matrices through
+ * scenario::runScenario. Adding a sweep point (a 5th replica count,
+ * another fault scale) is a scenario-file edit — no C++ changes, no
+ * new binary. The scenario library never prints (src/ bans the printf
+ * family), so progress lines go to stdout from here.
  *
  *   pipellm_run bench/scenarios/cluster_scale.scenario
  *   pipellm_run --quick cluster_scale faults soak
@@ -15,14 +16,67 @@
  */
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <vector>
 
-#include "bench/scenario_cli.hh"
+#include "scenario/runner.hh"
+#include "scenario/spec.hh"
 
 namespace {
+
+/**
+ * Resolve @p arg to a scenario path: an existing file wins; a bare
+ * name falls back to <scenario-dir>/<name>[.scenario] so
+ * `pipellm_run cluster_scale` works from any build directory.
+ */
+std::string
+resolveScenarioPath(const std::string &arg)
+{
+    if (std::ifstream(arg).good() || arg.find('/') != std::string::npos)
+        return arg;
+    std::string name = arg;
+    if (std::filesystem::path(name).extension() != ".scenario")
+        name += ".scenario";
+    std::string fallback = std::string(PIPELLM_SCENARIO_DIR) + "/" + name;
+    return std::ifstream(fallback).good() ? fallback : arg;
+}
+
+/** Load @p path or exit(1) with every parse and validation error. */
+pipellm::scenario::ScenarioSpec
+loadScenarioOrDie(const std::string &path)
+{
+    auto parsed = pipellm::scenario::loadScenario(path);
+    if (!parsed.ok()) {
+        for (const auto &e : parsed.errors)
+            std::fprintf(stderr, "%s\n", e.c_str());
+        std::exit(1);
+    }
+    auto problems = parsed.spec.validate();
+    if (!problems.empty()) {
+        for (const auto &e : problems)
+            std::fprintf(stderr, "%s: %s\n", path.c_str(), e.c_str());
+        std::exit(1);
+    }
+    return parsed.spec;
+}
+
+/** The whole of @p text as a non-negative int, or false. */
+bool
+parseThreads(const char *text, int &out)
+{
+    const char *end = text + std::char_traits<char>::length(text);
+    int v = 0;
+    auto res = std::from_chars(text, end, v);
+    if (res.ec != std::errc() || res.ptr != end || v < 0)
+        return false;
+    out = v;
+    return true;
+}
 
 int
 usage(const char *prog)
@@ -69,8 +123,8 @@ listScenarios()
     }
     std::sort(names.begin(), names.end());
     for (const auto &name : names) {
-        auto spec = benchutil::loadScenarioOrDie(
-            std::string(PIPELLM_SCENARIO_DIR) + "/" + name);
+        auto spec = loadScenarioOrDie(std::string(PIPELLM_SCENARIO_DIR) +
+                                      "/" + name);
         std::printf("  %-24s kind %s\n", name.c_str(),
                     pipellm::scenario::toString(spec.kind));
     }
@@ -83,7 +137,10 @@ int
 main(int argc, char **argv)
 {
     pipellm::scenario::RunOptions opts;
-    opts.progress = benchutil::printingSink();
+    opts.progress = [](const std::string &line) {
+        std::printf("%s\n", line.c_str());
+        std::fflush(stdout);
+    };
     bool validate_only = false;
     bool dump_only = false;
     std::vector<std::string> files;
@@ -93,7 +150,8 @@ main(int argc, char **argv)
         if (arg == "--quick") {
             opts.quick = true;
         } else if (arg == "--threads" && i + 1 < argc) {
-            opts.threads = std::atoi(argv[++i]);
+            if (!parseThreads(argv[++i], opts.threads))
+                return usage(argv[0]);
         } else if (arg == "--out" && i + 1 < argc) {
             opts.out_dir = argv[++i];
         } else if (arg == "--validate") {
@@ -112,8 +170,8 @@ main(int argc, char **argv)
         return usage(argv[0]);
 
     for (const auto &file : files) {
-        std::string path = benchutil::resolveScenarioPath(file);
-        auto spec = benchutil::loadScenarioOrDie(path);
+        std::string path = resolveScenarioPath(file);
+        auto spec = loadScenarioOrDie(path);
         if (dump_only) {
             std::fputs(pipellm::scenario::dumpScenario(spec).c_str(),
                        stdout);

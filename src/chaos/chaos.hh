@@ -5,8 +5,8 @@
  * bursts against a cluster, then measures whether goodput recovered
  * after every disturbance.
  *
- * The harness is deliberately a *library* (linked by bench_soak and
- * the chaos tests) rather than a binary: the same plan/runner/metrics
+ * The harness is deliberately a *library* (linked by the scenario
+ * runner and the chaos tests) rather than a binary: the same plan/runner/metrics
  * run in CI smoke mode, under ASan, and under -DPIPELLM_AUDIT=ON,
  * where the invariant auditor traps on any (key, IV, epoch) reuse or
  * tag-ledger leak the chaos provokes — a soak that finishes IS the

@@ -141,20 +141,6 @@ class Platform
     /** Shorthand for device(id).gpu(). */
     gpu::GpuDevice &gpu(DeviceId id) { return device(id).gpu(); }
 
-    /** Deprecated single-device alias: device 0's GPU. */
-    [[deprecated("use device(0).gpu() / gpu(0)")]] gpu::GpuDevice &
-    device()
-    {
-        return device(0).gpu();
-    }
-
-    /** Deprecated single-device alias: device 0's CC session. */
-    [[deprecated("use device(0).channel()")]] crypto::SecureChannel &
-    channel()
-    {
-        return device(0).channel();
-    }
-
     /** The machine-wide CPU crypto lane supply. */
     crypto::CryptoEngine &cryptoEngine() { return crypto_engine_; }
 

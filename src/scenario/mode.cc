@@ -1,5 +1,7 @@
 #include "scenario/mode.hh"
 
+#include <iterator>
+
 #include "common/units.hh"
 #include "pipellm/pipellm_runtime.hh"
 #include "runtime/cc_runtime.hh"
@@ -8,50 +10,60 @@
 namespace pipellm {
 namespace scenario {
 
+namespace {
+
+/** Rows in enum order, so a mode indexes its own row. */
+constexpr SystemModeInfo modeTable[] = {
+    {SystemMode::Plain, "Plain", "w/o CC"},
+    {SystemMode::Cc, "Cc", "CC"},
+    {SystemMode::Cc4t, "Cc4t", "CC-4t"},
+    {SystemMode::Pipe, "Pipe", "PipeLLM"},
+    {SystemMode::Pipe0, "Pipe0", "PipeLLM-0"},
+};
+
+constexpr bool
+inEnumOrder()
+{
+    for (std::size_t i = 0; i < std::size(modeTable); ++i) {
+        if (modeTable[i].mode != SystemMode(i))
+            return false;
+    }
+    return true;
+}
+static_assert(inEnumOrder());
+
+const SystemModeInfo &
+infoOf(SystemMode mode)
+{
+    return modeTable[std::size_t(mode)];
+}
+
+} // namespace
+
+std::span<const SystemModeInfo>
+systemModes()
+{
+    return modeTable;
+}
+
 const char *
 toString(SystemMode mode)
 {
-    switch (mode) {
-      case SystemMode::Plain:
-        return "w/o CC";
-      case SystemMode::Cc:
-        return "CC";
-      case SystemMode::Cc4t:
-        return "CC-4t";
-      case SystemMode::Pipe:
-        return "PipeLLM";
-      case SystemMode::Pipe0:
-        return "PipeLLM-0";
-    }
-    return "?";
+    return infoOf(mode).display;
 }
 
 const char *
 keyOf(SystemMode mode)
 {
-    switch (mode) {
-      case SystemMode::Plain:
-        return "Plain";
-      case SystemMode::Cc:
-        return "Cc";
-      case SystemMode::Cc4t:
-        return "Cc4t";
-      case SystemMode::Pipe:
-        return "Pipe";
-      case SystemMode::Pipe0:
-        return "Pipe0";
-    }
-    return "?";
+    return infoOf(mode).key;
 }
 
 std::optional<SystemMode>
 parseSystemMode(const std::string &name)
 {
-    for (SystemMode mode :
-         {SystemMode::Plain, SystemMode::Cc, SystemMode::Cc4t,
-          SystemMode::Pipe, SystemMode::Pipe0}) {
-        if (name == keyOf(mode))
-            return mode;
+    for (const auto &info : modeTable) {
+        if (name == info.key)
+            return info.mode;
     }
     return std::nullopt;
 }

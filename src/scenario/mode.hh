@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 
 #include "llm/model.hh"
@@ -34,6 +35,17 @@ enum class SystemMode : std::uint8_t
     Pipe,  ///< PipeLLM
     Pipe0, ///< PipeLLM with 0% sequence-prediction success (Fig. 10)
 };
+
+/** One system's spellings: its .scenario identifier and CSV name. */
+struct SystemModeInfo
+{
+    SystemMode mode;
+    const char *key;     ///< identifier used in .scenario files
+    const char *display; ///< display name in figures and CSV columns
+};
+
+/** Every system, in declaration order: the one name table. */
+std::span<const SystemModeInfo> systemModes();
 
 /** Display name used in figures and committed CSV columns. */
 const char *toString(SystemMode mode);

@@ -22,13 +22,19 @@
  *
  * Lists are whitespace-separated; `[host <name>]` sections repeat, one
  * per swept host-resource variant; the `phase` key repeats inside
- * `[soak]`. Every `*_quick` key gives the CI-smoke variant of its
- * sweep axis. parseScenario() collects *all* errors (unknown keys,
- * malformed values) instead of stopping at the first;
- * ScenarioSpec::validate() adds semantic checks (empty axes, negative
- * bandwidths, fault plans naming absent devices) with actionable
- * messages. dumpScenario() emits a canonical text that parses back to
- * an equal spec, which is what the round-trip tests pin down.
+ * `[soak]`. Every other section and key may appear once. Every
+ * `*_quick` key gives the CI-smoke variant of its sweep axis.
+ *
+ * One declarative key table in spec.cc binds every (section, key) to
+ * its typed field and an optional range rule; parse, dump, the
+ * "known: ..." error lists and validate()'s per-field range checks
+ * all read it. parseScenario() collects *all* errors (unknown or
+ * repeated keys and sections, malformed or non-finite values) instead
+ * of stopping at the first; ScenarioSpec::validate() adds the range
+ * rules and the cross-field checks (empty axes, fault plans naming
+ * absent devices, kind/section mismatches) with actionable messages.
+ * dumpScenario() emits a canonical text that parses back to an equal
+ * spec, which is what the round-trip tests pin down.
  */
 
 #ifndef PIPELLM_SCENARIO_SPEC_HH
@@ -47,14 +53,12 @@ namespace scenario {
 /** The sweep/figure family a scenario expands into. */
 enum class ScenarioKind : std::uint8_t
 {
-    /** Replica-scaling sweep: host variants x modes x device counts
-     *  (the bench_cluster_scale shape). */
+    /** Replica-scaling sweep: host variants x modes x device
+     *  counts. */
     ClusterScale,
-    /** Fault-intensity sweep: modes x device counts x fault scales
-     *  (the bench_faults shape). */
+    /** Fault-intensity sweep: modes x device counts x fault scales. */
     FaultSweep,
-    /** Chaos soak + overload sweep through src/chaos (the
-     *  bench_soak shape). */
+    /** Chaos soak + overload sweep through src/chaos. */
     Soak,
     /** Disaggregated prefill/decode sweep: modes x device counts x
      *  migration-fault scales, every request migrating its KV from a

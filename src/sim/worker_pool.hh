@@ -3,7 +3,7 @@
  * Fixed-size worker pool for the sharded scheduler.
  *
  * This is the only place in the tree allowed to touch std::thread
- * (enforced by tools/lint/check_banned_apis.py): every other component
+ * (enforced by tools/lint/pipellm_lint.py): every other component
  * stays single-threaded and deterministic, and parallelism exists only
  * as "run these disjoint shards somewhere" submitted through
  * parallelFor(). The pool is deliberately minimal — one job at a time,

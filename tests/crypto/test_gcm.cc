@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -23,6 +24,14 @@ struct GcmVector
     const char *ct;
     const char *tag;
 };
+
+// Print a vector by name: gtest's default byte dump would put pointer
+// values, which change from run to run, into each test's name.
+void
+PrintTo(const GcmVector &v, std::ostream *os)
+{
+    *os << v.name;
+}
 
 // McGrew & Viega, "The Galois/Counter Mode of Operation", appendix B
 // (the canonical AES-GCM test cases, 96-bit IVs only).

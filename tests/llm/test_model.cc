@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "common/units.hh"
 #include "llm/model.hh"
 
@@ -15,6 +17,14 @@ struct SizeCase
     double params_b;  // expected parameter count, billions
     double bytes_gb;  // expected total weight bytes, decimal GB
 };
+
+// Print a case by name: gtest's default byte dump would put pointer
+// values, which change from run to run, into each test's name.
+void
+PrintTo(const SizeCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
 
 const SizeCase kSizes[] = {
     // The paper quotes 26 GB for OPT-13B, ~60 GB for OPT-30B and

@@ -380,12 +380,17 @@ TEST_F(KvSwapFixture, ReorderingHandlesInBatchPermutation)
 
 namespace {
 
-/** (depth, leeway, lanes) grid point for configuration robustness. */
+/**
+ * (depth, leeway, lanes) grid point for configuration robustness.
+ * All fields are 64-bit so the struct has no padding: gtest prints the
+ * raw bytes of the parameter into each test's name, and uninitialised
+ * padding would make those names change from build to build.
+ */
 struct GridPoint
 {
-    unsigned depth;
+    std::uint64_t depth;
     std::uint64_t leeway;
-    unsigned lanes;
+    std::uint64_t lanes;
 };
 
 class ConfigGrid : public ::testing::TestWithParam<GridPoint>

@@ -35,7 +35,7 @@ load(const char *path)
     return parsed.spec;
 }
 
-/** The legacy bench_cluster_scale/bench_faults construction. */
+/** The hand-rolled construction of the pre-scenario cluster mains. */
 serving::ClusterResult
 legacyRun(SystemMode mode, unsigned n_devices, std::size_t n_requests,
           const runtime::HostResources &host,
@@ -131,7 +131,7 @@ TEST(ScenarioBuilder, FaultSweepMatchesHandBuiltArmedPlan)
     const double scale = 2;
     std::size_t requests = spec.requestsPerDevice(true) * n;
 
-    // The legacy basePlan(scale) from bench_faults.
+    // The hand-rolled basePlan(scale) of the pre-scenario fault main.
     fault::FaultPlan plan;
     plan.seed = 1009;
     plan.tag_corruption_rate = 0.02 * scale;

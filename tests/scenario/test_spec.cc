@@ -8,7 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "scenario/spec.hh"
@@ -36,6 +39,65 @@ minimalText()
            "[cluster]\n"
            "devices = 1 2\n"
            "modes = Cc\n";
+}
+
+/**
+ * A soak-kind text setting every key the disagg text of
+ * EveryFieldSurvivesTheDumpRoundTrip leaves at its default. The values
+ * only need to parse: a soak scenario rejects [host] variants and
+ * there is no second device preset, but the dump must carry them.
+ */
+std::string
+soakEverythingText()
+{
+    return "[scenario]\n"
+           "name = soak_everything\n"
+           "kind = soak\n"
+           "[cluster]\n"
+           "devices = 3\n"
+           "modes = Pipe\n"
+           "[device]\n"
+           "spec = h200\n"
+           "[pipe]\n"
+           "kind = offload\n"
+           "[host shared]\n"
+           "shared_crypto_lanes = 3\n"
+           "bridge_gbps = 96.5\n"
+           "bridge_latency_us = 2.5\n"
+           "pipe_max_lane_lead_ms = 0.75\n"
+           "[faults]\n"
+           "tag_corruption_rate = 0.01\n"
+           "copy_stall_rate = 0.005\n"
+           "lane_fault_rate = 0.004\n"
+           "replica_crash_rate = 0.04\n"
+           "spdm_rekey_ms = 12.5\n"
+           "warmup_probe_kib = 128\n"
+           "storm_start_s = 8\n"
+           "storm_end_s = 14\n"
+           "storm_multiplier = 8\n"
+           "dip_window_s = 3\n"
+           "dip_recover_frac = 0.6\n"
+           "[admission]\n"
+           "shed = on\n"
+           "service_cost_per_sec = 1000\n"
+           "max_outstanding_cost = 20000\n"
+           "[slo]\n"
+           "floor_s = 20\n"
+           "per_token_ms = 60\n"
+           "[soak]\n"
+           "phase = 48 16 0.8\n"
+           "phase = 48 16 3.2\n"
+           "goodput_window_s = 1.5\n"
+           "recover_frac = 0.4\n"
+           "[overload]\n"
+           "multipliers = 1 2 4\n"
+           "multipliers_quick = 1 4\n"
+           "requests = 64\n"
+           "requests_quick = 24\n"
+           "rate_per_device = 0.9\n"
+           "slo_floor_s = 1.5\n"
+           "slo_per_token_ms = 12\n"
+           "service_cost_per_sec = 3500\n";
 }
 
 bool
@@ -266,13 +328,14 @@ TEST(ScenarioSpec, UnknownKindSuggestsTheNearestValidKind)
 
 TEST(ScenarioSpec, EveryFieldSurvivesTheDumpRoundTrip)
 {
-    // One text exercising every section and key — crash_devices and
-    // the disagg/migration fields included — so a field dropped from
-    // dumpScenario() fails here, not in a sweep.
-    auto parsed = parseScenario("[scenario]\n"
+    // Two texts that between them set every key of the format to a
+    // non-default value — a disagg one (crash_devices and the
+    // migration fields) and soakEverythingText() — so a field dropped
+    // from dumpScenario() fails here, not in a sweep.
+    const std::string disagg_text = ("[scenario]\n"
                                 "name = everything\n"
                                 "kind = disagg\n"
-                                "csv = everything.csv\n"
+                                "csv = everything_rows.csv\n"
                                 "[cluster]\n"
                                 "devices = 2 4\n"
                                 "devices_quick = 2\n"
@@ -306,6 +369,7 @@ TEST(ScenarioSpec, EveryFieldSurvivesTheDumpRoundTrip)
                                 "crash_devices = 1 3\n"
                                 "scales = 0 1 2\n"
                                 "scales_quick = 0 1\n");
+    auto parsed = parseScenario(disagg_text);
     ASSERT_TRUE(parsed.ok())
         << (parsed.errors.empty() ? "" : parsed.errors.front());
     ASSERT_TRUE(parsed.spec.validate().empty())
@@ -324,6 +388,149 @@ TEST(ScenarioSpec, EveryFieldSurvivesTheDumpRoundTrip)
     ASSERT_TRUE(again.ok())
         << (again.errors.empty() ? "" : again.errors.front());
     EXPECT_EQ(spec, again.spec);
+
+    std::set<std::pair<std::string, std::string>> keys_set;
+    for (const std::string &text : {disagg_text, soakEverythingText()}) {
+        auto full = parseScenario(text, "full");
+        ASSERT_TRUE(full.ok()) << full.errors.front();
+        auto back = parseScenario(dumpScenario(full.spec), "dump");
+        ASSERT_TRUE(back.ok()) << back.errors.front();
+        EXPECT_EQ(full.spec, back.spec);
+
+        // Every key line must land in the spec with a non-default
+        // value: dropping it has to change what parses.
+        std::vector<std::string> lines;
+        std::istringstream is(text);
+        for (std::string line; std::getline(is, line);)
+            lines.push_back(line);
+        std::string section;
+        for (std::size_t i = 0; i < lines.size(); ++i) {
+            const std::string &line = lines[i];
+            if (line.front() == '[') {
+                section = line.substr(1, line.find_first_of(" ]") - 1);
+                continue;
+            }
+            keys_set.insert({section, line.substr(0, line.find(' '))});
+            std::string without;
+            for (std::size_t j = 0; j < lines.size(); ++j) {
+                if (j != i)
+                    without += lines[j] + "\n";
+            }
+            auto dropped = parseScenario(without, "dropped");
+            ASSERT_TRUE(dropped.ok()) << line;
+            EXPECT_NE(dropped.spec, full.spec)
+                << "'" << line << "' sets its default value";
+        }
+    }
+    // 63 keys across 13 sections ([host <name>] counted once).
+    EXPECT_EQ(keys_set.size(), 63u);
+}
+
+TEST(ScenarioSpec, NonFiniteNumbersAreRejectedNamingTheKey)
+{
+    auto parsed = parseScenario("[scenario]\n"
+                                "name = f\n"
+                                "kind = fault_sweep\n"
+                                "[trace]\n"
+                                "rate_per_device = nan\n"
+                                "[faults]\n"
+                                "tag_corruption_rate = -nan\n"
+                                "scales = 0 inf\n"
+                                "[soak]\n"
+                                "phase = 4 2 inf\n",
+                                "f");
+    ASSERT_EQ(parsed.errors.size(), 4u);
+    EXPECT_TRUE(anyContains(parsed.errors,
+                            "f:5: bad value 'nan' for rate_per_device"));
+    EXPECT_TRUE(anyContains(parsed.errors,
+                            "'-nan' for tag_corruption_rate"));
+    EXPECT_TRUE(anyContains(parsed.errors, "'inf' for scales"));
+    EXPECT_TRUE(anyContains(parsed.errors, "'4 2 inf' for phase"));
+    // The rejected values never reach the spec.
+    EXPECT_EQ(parsed.spec.trace.rate_per_device,
+              TraceSpec{}.rate_per_device);
+    EXPECT_EQ(parsed.spec.faults.scales, FaultSpec{}.scales);
+}
+
+TEST(ScenarioSpec, RepeatedKeyIsRejected)
+{
+    auto parsed =
+        parseScenario(minimalText() + "modes = Pipe\n", "mini");
+    ASSERT_EQ(parsed.errors.size(), 1u);
+    EXPECT_TRUE(anyContains(parsed.errors, "mini:7"));
+    EXPECT_TRUE(anyContains(parsed.errors,
+                            "repeated key 'modes' in [cluster] (first "
+                            "set on line 6)"));
+}
+
+TEST(ScenarioSpec, RepeatedSectionIsRejected)
+{
+    auto parsed = parseScenario(minimalText() +
+                                "[faults]\n"
+                                "seed = 3\n"
+                                "[faults]\n"
+                                "seed = 4\n",
+                                "mini");
+    ASSERT_EQ(parsed.errors.size(), 1u);
+    EXPECT_TRUE(anyContains(parsed.errors,
+                            "mini:9: repeated section [faults] (first "
+                            "opened on line 7)"));
+}
+
+TEST(ScenarioSpec, PhaseLinesAndHostSectionsMayRepeat)
+{
+    auto parsed = parseScenario(soakEverythingText() +
+                                "[host second]\n"
+                                "bridge_gbps = 40\n");
+    ASSERT_TRUE(parsed.ok()) << parsed.errors.front();
+    const auto &phases = parsed.spec.soak.phases;
+    ASSERT_EQ(phases.size(), 2u);
+    EXPECT_EQ(phases[0], (SoakPhaseSpec{48, 16, 0.8}));
+    EXPECT_EQ(phases[1], (SoakPhaseSpec{48, 16, 3.2}));
+    ASSERT_EQ(parsed.spec.hosts.size(), 2u);
+    EXPECT_EQ(parsed.spec.hosts[1].name, "second");
+    EXPECT_EQ(parsed.spec.hosts[1].bridge_gbps, 40.0);
+}
+
+TEST(ScenarioSpec, EmptyListWithNonEmptyDefaultSurvivesTheDump)
+{
+    // [faults] scales defaults to "0"; a soak scenario may clear it,
+    // and the dump must not silently restore the default.
+    auto parsed = parseScenario("[scenario]\n"
+                                "name = s\n"
+                                "kind = soak\n"
+                                "[cluster]\n"
+                                "devices = 2\n"
+                                "modes = Pipe\n"
+                                "[faults]\n"
+                                "scales =\n"
+                                "[soak]\n"
+                                "phase = 8 4 1\n");
+    ASSERT_TRUE(parsed.ok()) << parsed.errors.front();
+    ASSERT_TRUE(parsed.spec.validate().empty());
+    ASSERT_TRUE(parsed.spec.faults.scales.empty());
+    auto again = parseScenario(dumpScenario(parsed.spec), "dump");
+    ASSERT_TRUE(again.ok()) << again.errors.front();
+    EXPECT_EQ(parsed.spec, again.spec);
+}
+
+TEST(ScenarioSpec, RangeRulesCoverListEntries)
+{
+    auto parsed = parseScenario("[scenario]\n"
+                                "name = f\n"
+                                "kind = fault_sweep\n"
+                                "[cluster]\n"
+                                "devices = 0 2\n"
+                                "modes = Cc\n"
+                                "[faults]\n"
+                                "scales = 0 -1\n");
+    ASSERT_TRUE(parsed.ok());
+    auto problems = parsed.spec.validate();
+    EXPECT_TRUE(anyContains(problems,
+                            "[cluster] devices must be at least 1 "
+                            "(got 0)"));
+    EXPECT_TRUE(anyContains(problems,
+                            "[faults] scales is negative (got -1)"));
 }
 
 TEST(ScenarioSpec, DisaggSectionAndRatesRejectedOutsideDisaggKind)

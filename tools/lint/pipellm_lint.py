@@ -8,8 +8,7 @@ tree-wide (CI) or restricted to changed files (pre-commit).
 
 Registered checks (``--list-checks`` prints this table):
 
-  File-scoped pattern checks, ported from the original
-  check_banned_apis.py gate:
+  File-scoped pattern checks:
     deprecated-platform-alias  no-arg Platform::device()/channel()
     nondeterministic-rand-time rand()/srand()/std::time
     raw-thread                 std::thread outside sim/worker_pool
@@ -189,16 +188,13 @@ def pattern_check(regex, roots, allow, message):
 
 @register_check(
     "deprecated-platform-alias",
-    "no-argument Platform::device()/channel() compatibility aliases")
+    "the removed no-argument Platform::device()/channel() aliases")
 def check_platform_alias(ctx):
     return pattern_check(
         re.compile(r"\bplatform_?\.\s*(?:device|channel)\(\)"),
         ("src", "tests", "bench", "examples"),
-        {
-            # The compatibility test exercises the aliases on purpose.
-            "tests/runtime/test_multi_device.cc",
-        },
-        "deprecated Platform::device()/channel() alias; name the device",
+        set(),
+        "removed Platform::device()/channel() alias; name the device",
     )(ctx)
 
 
@@ -547,7 +543,7 @@ def check_audit_hooks(ctx):
 
 
 # ---------------------------------------------------------------------------
-# Fault-model coverage (tree-level; ported from check_banned_apis.py).
+# Fault-model coverage (tree-level).
 
 FAULT_ENUM_FILE = "src/fault/fault.hh"
 FAULT_TEST_DIR = "tests/fault"
