@@ -1,23 +1,25 @@
 /**
  * @file
  * Wall-clock microbenchmarks of the simulator's own building blocks
- * (google-benchmark), plus a throughput sweep of the sharded scheduler
- * core. These measure the *reproduction's* performance, not the
- * paper's: AES-GCM sealing, GHASH, the event queue, resource booking,
- * sparse-memory access — the per-simulated-transfer costs that bound
- * how large an experiment the harness can run — and how event
- * dispatch scales when replica shards run on a worker pool.
+ * (google-benchmark), plus a throughput sweep of the event core and
+ * the cluster co-simulation. These measure the *reproduction's*
+ * performance, not the paper's: AES-GCM sealing, GHASH, the event
+ * queue, resource booking, sparse-memory access — the per-simulated-
+ * transfer costs that bound how large an experiment the harness can
+ * run — and how event dispatch and engine steps scale with the
+ * number of chains and replicas.
  *
  * The sweep writes bench_results/BENCH_simcore.json. Unlike the
  * figure CSVs, BENCH_*.json files record *host* wall-clock numbers:
  * they are machine-dependent by design, annotated with the measuring
- * host's concurrency, and regenerated rather than diffed byte-for-
+ * host's core count, and regenerated rather than diffed byte-for-
  * byte (see README).
  *
  *   bench_simcore [--quick] [gbench flags...]
  */
 
 #include <benchmark/benchmark.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <cstdio>
@@ -36,8 +38,6 @@
 #include "serving/cluster.hh"
 #include "sim/event_queue.hh"
 #include "sim/resource.hh"
-#include "sim/sharded_scheduler.hh"
-#include "sim/worker_pool.hh"
 #include "trace/generator.hh"
 
 using namespace pipellm;
@@ -186,7 +186,7 @@ BM_SparseMemorySyntheticRead(benchmark::State &state)
 }
 BENCHMARK(BM_SparseMemorySyntheticRead);
 
-// --- sharded-scheduler throughput sweep -> BENCH_simcore.json ---
+// --- event-core and cluster throughput sweep -> BENCH_simcore.json ---
 
 double
 seconds(std::chrono::steady_clock::duration d)
@@ -207,23 +207,6 @@ spin(std::uint64_t x, unsigned rounds)
 }
 
 constexpr unsigned workRounds = 64;
-
-struct Chain
-{
-    sim::EventQueue *queue = nullptr;
-    std::uint64_t remaining = 0;
-    std::uint64_t acc = 0;
-};
-
-void
-chainStep(Chain *chain)
-{
-    chain->acc = spin(chain->acc + 1, workRounds);
-    if (--chain->remaining) {
-        chain->queue->scheduleIn(1 + (chain->acc & 7),
-                                 [chain] { chainStep(chain); });
-    }
-}
 
 /**
  * The pre-refactor event core, kept as a measured baseline: one
@@ -277,77 +260,54 @@ class ReferenceQueue
     std::uint64_t seq_ = 0;
 };
 
-struct RefChain
+/** A self-rescheduling event chain on queue type Q. */
+template <typename Q>
+struct Chain
 {
-    ReferenceQueue *queue = nullptr;
+    Q *queue = nullptr;
     std::uint64_t remaining = 0;
     std::uint64_t acc = 0;
+
+    void
+    step()
+    {
+        acc = spin(acc + 1, workRounds);
+        if (--remaining)
+            queue->scheduleIn(1 + (acc & 7), [this] { step(); });
+    }
 };
 
-void
-refChainStep(RefChain *chain)
-{
-    chain->acc = spin(chain->acc + 1, workRounds);
-    if (--chain->remaining) {
-        chain->queue->scheduleIn(1 + (chain->acc & 7),
-                                 [chain] { refChainStep(chain); });
-    }
-}
-
-/** events/sec of @p shards reference queues drained back to back. */
+/**
+ * events/sec of @p chains interleaved chains drained from one queue
+ * of type Q: the queue holds one pending event per chain, so the
+ * chain count is the heap depth.
+ */
+template <typename Q>
 double
-referenceEventsPerSec(unsigned shards, std::uint64_t events_per_chain)
+eventsPerSec(unsigned chains, std::uint64_t events_per_chain,
+             double *wall_out = nullptr)
 {
-    std::vector<ReferenceQueue> queues(shards);
-    std::vector<RefChain> chains(shards);
+    Q queue;
+    std::vector<Chain<Q>> all(chains);
     auto t0 = std::chrono::steady_clock::now();
-    for (unsigned s = 0; s < shards; ++s) {
-        chains[s] = RefChain{&queues[s], events_per_chain, s};
-        RefChain *chain = &chains[s];
-        queues[s].schedule(1, [chain] { refChainStep(chain); });
+    for (unsigned c = 0; c < chains; ++c) {
+        all[c] = Chain<Q>{&queue, events_per_chain, c};
+        Chain<Q> *chain = &all[c];
+        queue.schedule(1, [chain] { chain->step(); });
     }
-    for (auto &queue : queues)
-        queue.run();
+    queue.run();
     double wall = seconds(std::chrono::steady_clock::now() - t0);
-    return double(shards) * double(events_per_chain) / wall;
-}
-
-/** events/sec of the sharded scheduler draining the same workload. */
-double
-shardedEventsPerSec(unsigned shards, unsigned workers,
-                    std::uint64_t events_per_chain, double *wall_out)
-{
-    sim::ShardedScheduler::Config cfg;
-    cfg.workers = workers;
-    sim::ShardedScheduler sched(shards, cfg);
-    std::vector<Chain> chains(shards);
-    auto t0 = std::chrono::steady_clock::now();
-    for (unsigned s = 0; s < shards; ++s) {
-        chains[s] = Chain{&sched.shard(s), events_per_chain, s};
-        Chain *chain = &chains[s];
-        sched.shard(s).reserve(1);
-        sched.shard(s).schedule(1, [chain] { chainStep(chain); });
-    }
-    // Chains are shard-local, so the whole drain is one unbounded
-    // window — the decoupled cluster regime's shape.
-    sched.runWindow(maxTick);
-    double wall = seconds(std::chrono::steady_clock::now() - t0);
-    PIPELLM_ASSERT(sched.dispatched() ==
-                       std::uint64_t(shards) * events_per_chain,
-                   "sweep lost events");
     if (wall_out)
         *wall_out = wall;
-    return double(shards) * double(events_per_chain) / wall;
+    return double(chains) * double(events_per_chain) / wall;
 }
 
 struct ClusterPoint
 {
     unsigned replicas = 0;
-    unsigned threads = 0;
     std::uint64_t requests = 0;
     std::uint64_t completed = 0;
     std::uint64_t engine_steps = 0;
-    bool sharded = false;
     double wall_s = 0;
     double steps_per_sec = 0;
     double sim_requests_per_sec = 0;
@@ -355,8 +315,7 @@ struct ClusterPoint
 
 /** One tiny-model serving run: N CC replicas, private host. */
 ClusterPoint
-clusterPoint(unsigned replicas, unsigned threads,
-             std::size_t requests_per_replica)
+clusterPoint(unsigned replicas, std::size_t requests_per_replica)
 {
     llm::ModelConfig model;
     model.name = "tiny";
@@ -378,7 +337,6 @@ clusterPoint(unsigned replicas, unsigned threads,
     cfg.engine.parallel_sampling = 2;
     cfg.engine.gpu_reserved_bytes = 160 * MiB;
     cfg.policy = serving::RoutePolicy::RoundRobin;
-    cfg.threads = threads;
 
     serving::ClusterRouter router(
         platform,
@@ -399,11 +357,9 @@ clusterPoint(unsigned replicas, unsigned threads,
 
     ClusterPoint point;
     point.replicas = replicas;
-    point.threads = threads;
     point.requests = trace.size();
     point.completed = result.completed;
     point.engine_steps = result.engine_steps;
-    point.sharded = result.sharded;
     point.wall_s = wall;
     point.steps_per_sec = double(result.engine_steps) / wall;
     point.sim_requests_per_sec = double(result.completed) / wall;
@@ -413,19 +369,16 @@ clusterPoint(unsigned replicas, unsigned threads,
 void
 runThroughputSweep(bool quick)
 {
-    const unsigned hw = sim::WorkerPool::hardwareConcurrency();
+    const long cores = sysconf(_SC_NPROCESSORS_ONLN);
     const std::uint64_t events_per_chain = quick ? 20'000 : 200'000;
     const std::size_t requests_per_replica = quick ? 4 : 8;
-    std::vector<unsigned> shard_counts =
+    std::vector<unsigned> counts =
         quick ? std::vector<unsigned>{1, 8}
               : std::vector<unsigned>{1, 2, 4, 8, 16, 32};
-    std::vector<unsigned> worker_counts{1};
-    if (hw > 1)
-        worker_counts.push_back(hw);
 
-    std::printf("\n=== sharded scheduler throughput (host: %u "
-                "core(s)) ===\n",
-                hw);
+    std::printf("\n=== event queue throughput (host: %ld core(s)) "
+                "===\n",
+                cores);
 
     std::filesystem::create_directories("bench_results");
     std::FILE *json =
@@ -439,46 +392,30 @@ runThroughputSweep(bool quick)
     std::fprintf(json, "  \"build\": \"debug\",\n");
 #endif
     std::fprintf(json, "  \"quick\": %s,\n", quick ? "true" : "false");
-    std::fprintf(json, "  \"hardware_concurrency\": %u,\n", hw);
-    std::fprintf(json, "  \"hw_threads\": %u,\n", hw);
-    // On a 1-core host every workers=hw row degenerates to the
-    // sequential case; downstream tooling must not read parallel
-    // scaling out of such a record (ROADMAP item on 1-core container
-    // artifacts).
-    std::fprintf(json, "  \"parallel_scaling_valid\": %s,\n",
-                 hw > 1 ? "true" : "false");
-    if (hw == 1) {
-        std::printf("WARNING: hw_threads == 1 -- parallel-scaling "
-                    "rows are degenerate (workers=1 only); JSON is "
-                    "flagged parallel_scaling_valid=false\n");
-    }
+    std::fprintf(json, "  \"host_cores\": %ld,\n", cores);
     std::fprintf(json, "  \"events_per_chain\": %llu,\n",
                  (unsigned long long)events_per_chain);
 
-    // Scheduler core: events/sec for N shard-local chains, against
+    // Event core: events/sec for N chains sharing one queue, against
     // the pre-refactor std::function/priority_queue baseline.
     std::fprintf(json, "  \"scheduler\": [\n");
     bool first = true;
-    for (unsigned shards : shard_counts) {
-        double ref = referenceEventsPerSec(shards, events_per_chain);
-        for (unsigned workers : worker_counts) {
-            double wall = 0;
-            double pooled = shardedEventsPerSec(shards, workers,
-                                                events_per_chain,
-                                                &wall);
-            std::printf("shards=%2u workers=%2u  %10.0f ev/s  "
-                        "(ref %10.0f, x%.2f)\n",
-                        shards, workers, pooled, ref, pooled / ref);
-            std::fprintf(
-                json,
-                "%s    {\"shards\": %u, \"workers\": %u, "
-                "\"wall_s\": %.6f, \"events_per_sec\": %.0f, "
-                "\"reference_events_per_sec\": %.0f, "
-                "\"speedup_vs_reference\": %.3f}",
-                first ? "" : ",\n", shards, workers, wall, pooled,
-                ref, pooled / ref);
-            first = false;
-        }
+    for (unsigned chains : counts) {
+        double ref =
+            eventsPerSec<ReferenceQueue>(chains, events_per_chain);
+        double wall = 0;
+        double pooled = eventsPerSec<sim::EventQueue>(
+            chains, events_per_chain, &wall);
+        std::printf("chains=%2u  %10.0f ev/s  (ref %10.0f, x%.2f)\n",
+                    chains, pooled, ref, pooled / ref);
+        std::fprintf(json,
+                     "%s    {\"chains\": %u, \"wall_s\": %.6f, "
+                     "\"events_per_sec\": %.0f, "
+                     "\"reference_events_per_sec\": %.0f, "
+                     "\"speedup_vs_reference\": %.3f}",
+                     first ? "" : ",\n", chains, wall, pooled, ref,
+                     pooled / ref);
+        first = false;
     }
     std::fprintf(json, "\n  ],\n");
 
@@ -487,31 +424,24 @@ runThroughputSweep(bool quick)
     std::printf("\n=== cluster co-simulation throughput ===\n");
     std::fprintf(json, "  \"cluster\": [\n");
     first = true;
-    for (unsigned replicas : shard_counts) {
-        for (unsigned threads : worker_counts) {
-            auto p = clusterPoint(replicas, threads,
-                                  requests_per_replica);
-            std::printf("N=%2u threads=%2u  %8.1f sim req/s  "
-                        "%9.0f steps/s  (%s, %llu steps)\n",
-                        p.replicas, p.threads, p.sim_requests_per_sec,
-                        p.steps_per_sec,
-                        p.sharded ? "sharded" : "sequential",
-                        (unsigned long long)p.engine_steps);
-            std::fprintf(
-                json,
-                "%s    {\"replicas\": %u, \"threads\": %u, "
-                "\"requests\": %llu, \"completed\": %llu, "
-                "\"engine_steps\": %llu, \"sharded\": %s, "
-                "\"wall_s\": %.6f, \"steps_per_sec\": %.0f, "
-                "\"sim_requests_per_sec\": %.1f}",
-                first ? "" : ",\n", p.replicas, p.threads,
-                (unsigned long long)p.requests,
-                (unsigned long long)p.completed,
-                (unsigned long long)p.engine_steps,
-                p.sharded ? "true" : "false", p.wall_s,
-                p.steps_per_sec, p.sim_requests_per_sec);
-            first = false;
-        }
+    for (unsigned replicas : counts) {
+        auto p = clusterPoint(replicas, requests_per_replica);
+        std::printf("N=%2u  %8.1f sim req/s  %9.0f steps/s  "
+                    "(%llu steps)\n",
+                    p.replicas, p.sim_requests_per_sec,
+                    p.steps_per_sec,
+                    (unsigned long long)p.engine_steps);
+        std::fprintf(json,
+                     "%s    {\"replicas\": %u, \"requests\": %llu, "
+                     "\"completed\": %llu, \"engine_steps\": %llu, "
+                     "\"wall_s\": %.6f, \"steps_per_sec\": %.0f, "
+                     "\"sim_requests_per_sec\": %.1f}",
+                     first ? "" : ",\n", p.replicas,
+                     (unsigned long long)p.requests,
+                     (unsigned long long)p.completed,
+                     (unsigned long long)p.engine_steps, p.wall_s,
+                     p.steps_per_sec, p.sim_requests_per_sec);
+        first = false;
     }
     std::fprintf(json, "\n  ]\n}\n");
     std::fclose(json);

@@ -16,7 +16,6 @@
  */
 
 #include <algorithm>
-#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -65,33 +64,17 @@ loadScenarioOrDie(const std::string &path)
     return parsed.spec;
 }
 
-/** The whole of @p text as a non-negative int, or false. */
-bool
-parseThreads(const char *text, int &out)
-{
-    const char *end = text + std::char_traits<char>::length(text);
-    int v = 0;
-    auto res = std::from_chars(text, end, v);
-    if (res.ec != std::errc() || res.ptr != end || v < 0)
-        return false;
-    out = v;
-    return true;
-}
-
 int
 usage(const char *prog)
 {
     std::fprintf(
         stderr,
-        "usage: %s [--quick] [--threads N] [--out DIR] [--validate] "
+        "usage: %s [--quick] [--out DIR] [--validate] "
         "[--dump] <scenario>...\n"
         "       %s --list\n"
         "  <scenario>   a .scenario file, or a bare name resolved\n"
         "               against the repo's bench/scenarios/\n"
         "  --quick      use the *_quick sweep axes (CI smoke)\n"
-        "  --threads N  co-simulation workers (0 = hardware\n"
-        "               concurrency); wall-clock only, CSVs are\n"
-        "               byte-identical for every value\n"
         "  --out DIR    CSV output directory (default bench_results)\n"
         "  --validate   parse + validate only, run nothing\n"
         "  --dump       print the canonical round-trip text, run\n"
@@ -149,9 +132,6 @@ main(int argc, char **argv)
         std::string arg = argv[i];
         if (arg == "--quick") {
             opts.quick = true;
-        } else if (arg == "--threads" && i + 1 < argc) {
-            if (!parseThreads(argv[++i], opts.threads))
-                return usage(argv[0]);
         } else if (arg == "--out" && i + 1 < argc) {
             opts.out_dir = argv[++i];
         } else if (arg == "--validate") {

@@ -64,21 +64,6 @@ struct HostResources
      * the pre-refactor behavior).
      */
     unsigned shared_crypto_lanes = 0;
-
-    /**
-     * True when any knob makes the host a contended stage coupling
-     * the replicas' timelines. Coupled timelines leave zero lookahead
-     * between replicas (a bridge or lane grant can bind two replicas
-     * at the same tick), so the sharded scheduler falls back to the
-     * sequential min-clock schedule; decoupled replicas interact only
-     * at routing decisions and can run a whole arrival window in
-     * parallel.
-     */
-    bool
-    coupled() const
-    {
-        return bridge_bw > 0 || shared_crypto_lanes > 0;
-    }
 };
 
 /**
@@ -161,18 +146,6 @@ class Platform
 
     /** The host-resource knobs this platform was built with. */
     const HostResources &hostResources() const { return host_res_; }
-
-    /**
-     * True when replica timelines may be advanced on parallel shards:
-     * host resources are private (no zero-lookahead coupling) and the
-     * fault injector is disarmed (its RNG draw order is a machine-wide
-     * timeline the shards would otherwise race on).
-     */
-    bool
-    shardable() const
-    {
-        return !host_res_.coupled() && !fault_injector_.armed();
-    }
 
     /** Shared host bridge; null when bridge_bw is unset. */
     const sim::BandwidthResource *hostBridge() const {

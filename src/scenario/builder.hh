@@ -63,9 +63,10 @@ class ScenarioBuilder
      */
     core::PipeLlmConfig pipeConfig(const HostVariantSpec &host) const;
 
-    /** ClusterConfig with the engine/policy/admission knobs set;
-     *  @p threads overrides [cluster] threads (wall-clock only). */
-    serving::ClusterConfig clusterConfig(unsigned threads) const;
+    /** ClusterConfig with the engine/policy/admission knobs set.
+     *  The ignored parameter is kept only for perfbench's call and
+     *  goes with the next benchmark change. */
+    serving::ClusterConfig clusterConfig(unsigned = 0) const;
 
     /**
      * The [faults] plan with every rate multiplied by @p scale
@@ -81,11 +82,12 @@ class ScenarioBuilder
     /**
      * Materialize one sweep point: Platform on @p host, faults armed
      * when @p fault_scale > 0, one @p mode replica per device behind
-     * the router.
+     * the router. The trailing parameter is ignored; it is kept only
+     * for perfbench's call and goes with the next benchmark change.
      */
     BuiltCluster build(SystemMode mode, unsigned n_devices,
                        const HostVariantSpec &host, double fault_scale,
-                       unsigned threads) const;
+                       unsigned = 0) const;
 
     /** The chaos SoakPlan for a kind=soak scenario. */
     chaos::SoakPlan soakPlan(bool quick) const;

@@ -36,13 +36,6 @@ struct Sweep
     {
     }
 
-    unsigned
-    threads() const
-    {
-        return opts.threads >= 0 ? unsigned(opts.threads)
-                                 : spec.cluster.threads;
-    }
-
     template <typename... Args>
     void
     say(const Args &...args)
@@ -108,8 +101,7 @@ runClusterScale(Sweep &s)
                   serving::toString(policy), " routing, ", host.name,
                   " host) --");
             for (unsigned n : devices) {
-                auto built = s.builder.build(mode, n, host, 0,
-                                             s.threads());
+                auto built = s.builder.build(mode, n, host, 0);
                 auto r = built.router->run(s.builder.poissonTrace(
                     requests_per_device * n, n));
                 ++s.summary.runs;
@@ -201,7 +193,7 @@ runFaultSweep(Sweep &s)
             s.say("-- ", toString(mode), ", N=", n, " --");
             for (double scale : scales) {
                 auto built = s.builder.build(mode, n, private_host,
-                                             scale, s.threads());
+                                             scale);
                 auto r = built.router->run(s.builder.poissonTrace(
                     requests_per_device * n, n));
                 ++s.summary.runs;
@@ -426,7 +418,7 @@ runDisagg(Sweep &s)
             s.say("-- ", toString(mode), ", N=", n, " --");
             for (double scale : scales) {
                 auto built = s.builder.build(mode, n, private_host,
-                                             scale, s.threads());
+                                             scale);
                 auto r = built.router->run(s.builder.poissonTrace(
                     requests_per_device * n, n));
                 ++s.summary.runs;

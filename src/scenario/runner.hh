@@ -30,12 +30,6 @@ struct RunOptions
 {
     /** Use the *_quick sweep axes (CI smoke). */
     bool quick = false;
-    /**
-     * Co-simulation worker override: negative keeps the scenario's
-     * [cluster] threads, 0 = hardware concurrency. A wall-clock knob
-     * only — every value produces byte-identical CSVs.
-     */
-    int threads = -1;
     /** Directory the CSV files land in (created if needed). */
     std::string out_dir = "bench_results";
     /** Sink for one-line progress messages; null = silent. */

@@ -448,8 +448,7 @@ format()
             Key<&ClusterSpec::devices>{"devices", R::AtLeastOne},
             Key<&ClusterSpec::devices_quick>{"devices_quick", R::AtLeastOne},
             Key<&ClusterSpec::modes>{"modes"},
-            Key<&ClusterSpec::policy>{"policy"},
-            Key<&ClusterSpec::threads>{"threads"}),
+            Key<&ClusterSpec::policy>{"policy"}),
         section<Part<&S::device>>(
             "device", always,
             Key<&DeviceSpec::spec>{"spec"},
@@ -833,12 +832,6 @@ ScenarioSpec::validate() const
     if (cluster.modes.empty())
         err("[cluster] modes is empty: list at least one system (",
             joinSpellings<SystemMode>(), ")");
-    if (cluster.threads > max_devices && max_devices > 0) {
-        err("[cluster] threads (", cluster.threads,
-            ") exceeds the largest replica count (", max_devices,
-            "): the sharded schedule caps useful workers at one per "
-            "replica");
-    }
 
     // --- device / engine / trace presets ---
     auto preset = [&](const char *what, const std::string &value,

@@ -110,8 +110,6 @@ struct ClusterSpec
     std::vector<unsigned> devices_quick; ///< empty = same as devices
     std::vector<SystemMode> modes;
     serving::RoutePolicy policy = serving::RoutePolicy::RoundRobin;
-    /** Default co-simulation workers (CLI --threads overrides). */
-    unsigned threads = 1;
 
     bool operator==(const ClusterSpec &) const = default;
 };

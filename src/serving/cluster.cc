@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 
 #include "audit/audit.hh"
 #include "common/logging.hh"
-#include "sim/sharded_scheduler.hh"
 
 namespace pipellm {
 namespace serving {
@@ -176,9 +174,8 @@ ClusterRouter::run(const trace::Trace &requests)
     // IV counters advance monotonically within a session epoch.
     KvMigrator migrator(platform_, config_.disagg.migration);
 
-    // Finished prefills land here (per source replica, so a shard
-    // only ever appends to its own vector) and are migrated at the
-    // next delivery barrier on the main thread.
+    // Finished prefills land here (per source replica) and are
+    // migrated at the next delivery barrier.
     struct Handoff
     {
         trace::Request req;
@@ -396,10 +393,9 @@ ClusterRouter::run(const trace::Trace &requests)
         }
     };
 
-    // Handoffs are processed only here — at delivery barriers, on
-    // the main thread, identically in both regimes — so resource
-    // timelines and routing state match step for step whatever the
-    // worker count.
+    // Handoffs are processed only here, at delivery barriers and at
+    // the all-idle point, so migrations see resource timelines and
+    // routing state at well-defined frontier points.
     auto processHandoffs = [&]() {
         if (!disagg)
             return;
@@ -411,7 +407,7 @@ ClusterRouter::run(const trace::Trace &requests)
         }
         if (batch.empty())
             return;
-        // Deterministic order regardless of which shard produced
+        // Deterministic order regardless of which replica produced
         // which handoff: finish tick, then source, then request id.
         std::sort(batch.begin(), batch.end(),
                   [](const Handoff &a, const Handoff &b) {
@@ -541,210 +537,78 @@ ClusterRouter::run(const trace::Trace &requests)
         PIPELLM_AUDIT_HOOK(audit::Auditor::instance().noteDelivery(
             run_id, req.arrival, engines[d]->clock()));
     };
-    if (platform_.shardable()) {
-        // Decoupled regime: private host resources and a disarmed
-        // injector leave the replicas independent between routing
-        // decisions, so the next arrival is a conservative lookahead
-        // horizon — every busy replica may advance to it on its own
-        // shard without observing any other. The sharded schedule
-        // below dispatches exactly the per-replica step sequence of
-        // the sequential min-clock loop (each busy replica steps
-        // until its clock first reaches the arrival; deliveries read
-        // the same clocks and loads), so the results are
-        // byte-identical for any worker count.
-        agg.sharded = true;
-        sim::ShardedScheduler::Config sched_cfg;
-        sched_cfg.workers = config_.threads;
-        sched_cfg.lookahead = 1;
-        sim::ShardedScheduler sched(n, sched_cfg);
-
-        // A replica's step chain: one engine scheduler iteration per
-        // event, rescheduled at the engine's own clock until it goes
-        // idle. Only the shard that owns replica d ever runs these.
-        Tick window_horizon = 0;
-        (void)window_horizon; // only read by the audit hook below
-        std::vector<std::uint8_t> armed(n, 0);
-        std::vector<std::function<void()>> steppers(n);
+    while (true) {
+        // A busy replica whose clock passed its crash time dies
+        // before it can step again; its orphans join the arrival
+        // queue at the detect tick.
         for (unsigned d = 0; d < n; ++d) {
-            steppers[d] = [&, d] {
-                auto &eng = *engines[d];
-                PIPELLM_AUDIT_HOOK(
-                    audit::Auditor::instance().noteReplicaStep(
-                        run_id, eng.clock(), window_horizon));
-                eng.stepOnce();
-                if (eng.hasWork()) {
-                    // A migrated group can put the engine's clock
-                    // behind the shard's dispatch point (its stepper
-                    // was posted at the window floor); the event time
-                    // never runs backwards even though the engine
-                    // model catches up at its own pace.
-                    sched.shard(d).schedule(
-                        std::max(eng.clock(), sched.shard(d).now()),
-                        [&steppers, d] { steppers[d](); });
-                } else {
-                    armed[d] = 0;
-                }
-            };
+            if (alive_[d] && engines[d]->hasWork() &&
+                engines[d]->clock() >= crash_at[d])
+                crash(d, engines[d]->clock());
         }
-        // Routing decisions reach a shard as a time-stamped message:
-        // merged at the window barrier in (tick, shard, seq) order,
-        // so the delivery-to-step handoff is deterministic by
-        // construction rather than by thread timing.
-        // Messages posted between windows must land at or past the
-        // horizon of the last window run; a decode replica that takes
-        // a finished migration can sit behind that floor, so its
-        // stepper is posted at the floor (the engine still advances
-        // from its own clock).
-        Tick post_floor = 0;
-        auto armStepper = [&](unsigned d) {
-            if (armed[d] || !engines[d]->hasWork())
-                return;
-            armed[d] = 1;
-            sched.post(sched.hostShard(), d,
-                       std::max(engines[d]->clock(), post_floor),
-                       [&steppers, d] { steppers[d](); });
-        };
-        while (true) {
-            Tick arrival = next_arrival < pending.size()
-                               ? pending[next_arrival].req.arrival
-                               : maxTick;
-            bool any_busy = false;
-            for (unsigned d = 0; d < n; ++d)
-                any_busy |= armed[d] != 0;
+        int busiest = -1;
+        for (unsigned d = 0; d < n; ++d) {
+            if (engines[d]->hasWork() &&
+                (busiest < 0 ||
+                 engines[d]->clock() < engines[busiest]->clock()))
+                busiest = int(d);
+        }
 #if PIPELLM_AUDIT_ENABLED
-            Tick frontier = arrival;
-            for (unsigned d = 0; d < n; ++d) {
-                if (armed[d])
-                    frontier =
-                        std::min(frontier, engines[d]->clock());
-            }
-            if (frontier != maxTick)
-                audit::Auditor::instance().noteFrontier(run_id,
-                                                        frontier);
+        // The schedule frontier is the earlier of the min busy
+        // clock and the next pending arrival; it gates which
+        // replica may step. The noted (monotone) frontier also
+        // folds in handoffs still waiting for their barrier:
+        // busy replicas legitimately run past a finished prefill
+        // before the barrier settles it, and the migration it
+        // starts then submits decode work behind the busy-min —
+        // so a pending handoff bounds the global frontier
+        // without gating the stepper.
+        Tick frontier = maxTick;
+        if (busiest >= 0)
+            frontier = engines[busiest]->clock();
+        if (next_arrival < pending.size()) {
+            frontier = std::min(
+                frontier, pending[next_arrival].req.arrival);
+        }
+        Tick noted = frontier;
+        for (const auto &hs : handoffs) {
+            for (const auto &h : hs)
+                noted = std::min(noted, h.finished);
+        }
+        if (noted != maxTick)
+            audit::Auditor::instance().noteFrontier(run_id,
+                                                    noted);
 #endif
-            if (any_busy) {
-                window_horizon = arrival;
-                sched.runWindow(arrival);
-                post_floor = arrival;
-                for (unsigned d = 0; d < n; ++d)
-                    load_[d] = engines[d]->outstandingCost();
-            }
+        if (busiest < 0) {
+            // Every replica idle: settle handoffs first — a
+            // migration can hand new decode work to an idle
+            // replica, which must run before the trace can end.
+            processHandoffs();
+            bool woke = false;
+            for (unsigned d = 0; d < n; ++d)
+                woke |= engines[d]->hasWork();
+            if (woke)
+                continue;
             if (next_arrival >= pending.size())
-                break; // remaining handoffs settle in the drain sweep
-            // Window barrier: settle prefill->decode handoffs (the
-            // migrations may hand fresh work to idle replicas) before
-            // the next delivery — the same point the sequential
-            // regime uses. A no-op sweep outside disaggregated runs.
-            processHandoffs();
-            for (unsigned d = 0; d < n; ++d)
-                armStepper(d);
+                break;
             deliver(pending[next_arrival++]);
-            for (unsigned d = 0; d < n; ++d)
-                armStepper(d);
+            continue;
         }
-        // Drain sweep: the final window left every replica idle and
-        // closed the scheduler (nothing can be posted past a drained
-        // horizon), so migrations finishing after the last arrival
-        // hand their decode work over here and the engines run to
-        // completion inline. The decoupled regime has no shared
-        // resources, so a fixed per-replica sweep yields the same
-        // result as any interleaving — the sequential regime settles
-        // drain handoffs at the identical all-idle point.
-        std::uint64_t inline_steps = 0;
-        for (bool worked = true; worked;) {
+        if (next_arrival < pending.size() &&
+            pending[next_arrival].req.arrival <=
+                engines[busiest]->clock()) {
+            // Delivery barrier: every busy replica has reached
+            // the arrival, so handoffs settle here.
             processHandoffs();
-            worked = false;
-            for (unsigned d = 0; d < n; ++d) {
-                auto &eng = *engines[d];
-                while (eng.hasWork()) {
-                    eng.stepOnce();
-                    ++inline_steps;
-                    worked = true;
-                }
-                load_[d] = eng.outstandingCost();
-            }
+            deliver(pending[next_arrival++]);
+            continue;
         }
-        agg.engine_steps = sched.dispatched() + inline_steps;
-    } else {
-        // Coupled regime (shared bridge, shared lane pool, or armed
-        // faults): replicas can bind at the same tick, which is a
-        // zero-lookahead schedule — the sharded protocol degenerates
-        // to exactly this sequential min-clock frontier, so it is
-        // kept verbatim (and the thread knob is ignored).
-        while (true) {
-            // A busy replica whose clock passed its crash time dies
-            // before it can step again; its orphans join the arrival
-            // queue at the detect tick.
-            for (unsigned d = 0; d < n; ++d) {
-                if (alive_[d] && engines[d]->hasWork() &&
-                    engines[d]->clock() >= crash_at[d])
-                    crash(d, engines[d]->clock());
-            }
-            int busiest = -1;
-            for (unsigned d = 0; d < n; ++d) {
-                if (engines[d]->hasWork() &&
-                    (busiest < 0 ||
-                     engines[d]->clock() < engines[busiest]->clock()))
-                    busiest = int(d);
-            }
-#if PIPELLM_AUDIT_ENABLED
-            // The schedule frontier is the earlier of the min busy
-            // clock and the next pending arrival; it gates which
-            // replica may step. The noted (monotone) frontier also
-            // folds in handoffs still waiting for their barrier:
-            // busy replicas legitimately run past a finished prefill
-            // before the barrier settles it, and the migration it
-            // starts then submits decode work behind the busy-min —
-            // so a pending handoff bounds the global frontier
-            // without gating the stepper.
-            Tick frontier = maxTick;
-            if (busiest >= 0)
-                frontier = engines[busiest]->clock();
-            if (next_arrival < pending.size()) {
-                frontier = std::min(
-                    frontier, pending[next_arrival].req.arrival);
-            }
-            Tick noted = frontier;
-            for (const auto &hs : handoffs) {
-                for (const auto &h : hs)
-                    noted = std::min(noted, h.finished);
-            }
-            if (noted != maxTick)
-                audit::Auditor::instance().noteFrontier(run_id,
-                                                        noted);
-#endif
-            if (busiest < 0) {
-                // Every replica idle: settle handoffs first — a
-                // migration can hand new decode work to an idle
-                // replica, which must run before the trace can end.
-                processHandoffs();
-                bool woke = false;
-                for (unsigned d = 0; d < n; ++d)
-                    woke |= engines[d]->hasWork();
-                if (woke)
-                    continue;
-                if (next_arrival >= pending.size())
-                    break;
-                deliver(pending[next_arrival++]);
-                continue;
-            }
-            if (next_arrival < pending.size() &&
-                pending[next_arrival].req.arrival <=
-                    engines[busiest]->clock()) {
-                // Delivery barrier: every busy replica has reached
-                // the arrival — the point matching the sharded
-                // regime's window barrier — so handoffs settle here.
-                processHandoffs();
-                deliver(pending[next_arrival++]);
-                continue;
-            }
-            PIPELLM_AUDIT_HOOK(
-                audit::Auditor::instance().noteReplicaStep(
-                    run_id, engines[busiest]->clock(), frontier));
-            engines[busiest]->stepOnce();
-            load_[busiest] = engines[busiest]->outstandingCost();
-            ++agg.engine_steps;
-        }
+        PIPELLM_AUDIT_HOOK(
+            audit::Auditor::instance().noteReplicaStep(
+                run_id, engines[busiest]->clock(), frontier));
+        engines[busiest]->stepOnce();
+        load_[busiest] = engines[busiest]->outstandingCost();
+        ++agg.engine_steps;
     }
 
     if (disagg) {

@@ -32,9 +32,7 @@
  * blocks migrate to the least-loaded decode replica over a per-pair
  * encrypted link (KvMigrator), and the decode stage carries every
  * end-to-end metric. Handoffs are processed only at delivery
- * barriers — the same points in both the sharded and sequential
- * regimes — so disaggregated results stay byte-identical for every
- * worker count. Migration failures degrade gracefully: a stalled
+ * barriers and when every replica is idle. Migration failures degrade gracefully: a stalled
  * stream decodes locally on the prefill replica, a destination crash
  * re-routes the migration to another live decode replica, and a
  * prefill replica that dies before its handoff is processed requeues
@@ -158,16 +156,6 @@ struct ClusterConfig
     AdmissionConfig admission;
     /** Prefill/decode disaggregation (inert by default). */
     DisaggConfig disagg;
-    /**
-     * Worker threads for the sharded co-simulation (0 = hardware
-     * concurrency). Only the decoupled regime (private host
-     * resources, faults disarmed) actually runs shards in parallel;
-     * coupled or fault-armed runs keep the sequential min-clock
-     * schedule whatever this says. Either way the results are
-     * byte-identical for every value — the thread count is a
-     * wall-clock knob, never a model input.
-     */
-    unsigned threads = 1;
 };
 
 /** Per-replica slice of a cluster run. */
@@ -268,11 +256,12 @@ struct ClusterResult
 
     /**
      * Wall-clock bookkeeping for the bench harness; never part of a
-     * CSV row. Engine scheduler iterations across all replicas (the
-     * co-simulation's unit of work), and whether the run used the
-     * parallel sharded schedule or the sequential min-clock one.
+     * CSV row: engine scheduler iterations across all replicas (the
+     * co-simulation's unit of work).
      */
     std::uint64_t engine_steps = 0;
+    /** Always false; kept only for perfbench's call, goes with the
+     *  next benchmark change. */
     bool sharded = false;
 };
 

@@ -145,12 +145,5 @@ EventQueue::runUntil(Tick deadline)
     }
 }
 
-void
-EventQueue::runBefore(Tick horizon)
-{
-    while (root_ && root_->when < horizon)
-        dispatch(popMin());
-}
-
 } // namespace sim
 } // namespace pipellm

@@ -4,8 +4,8 @@
  *
  * The wrappers are defined in common/mutex.hh so that layers below
  * sim/ (the auditor) can use them without inverting the include DAG;
- * the concurrent simulator core and everything above it names them as
- * sim::Mutex / sim::LockGuard / sim::CondVar.
+ * the simulator core and everything above it names them as
+ * sim::Mutex / sim::LockGuard.
  */
 
 #ifndef PIPELLM_SIM_MUTEX_HH
@@ -16,7 +16,6 @@
 namespace pipellm {
 namespace sim {
 
-using common::CondVar;
 using common::LockGuard;
 using common::Mutex;
 

@@ -129,10 +129,21 @@ TEST_F(AuditServingFixture, ClusterRunSatisfiesAllServingAudits)
     auto result = router.run(tinyTrace(12, 500.0));
     EXPECT_EQ(result.completed, 12u);
 
+    // A fault-free disaggregated run on private host resources: its
+    // prefill->decode handoffs submit decode work behind the busy
+    // replicas, which must never step a replica past the frontier.
+    runtime::Platform private_host(tinyGpu(448 * MiB),
+                                   crypto::ChannelConfig{}, 2);
+    cfg.disagg.enabled = true;
+    ClusterRouter disagg(private_host, ccFactory(), cfg);
+    auto split = disagg.run(tinyTrace(12, 500.0));
+    EXPECT_EQ(split.completed, 12u);
+    EXPECT_EQ(split.faults.migrations, 12u);
+
     EXPECT_TRUE(auditor.violations().empty()) << auditor.report();
     EXPECT_GT(auditor.evaluations(Check::FrontierRegression), 0u);
-    EXPECT_GE(auditor.evaluations(Check::EarlyDelivery), 12u);
-    EXPECT_GE(auditor.evaluations(Check::ResidualLoad), 1u);
+    EXPECT_GE(auditor.evaluations(Check::EarlyDelivery), 24u);
+    EXPECT_GE(auditor.evaluations(Check::ResidualLoad), 2u);
     EXPECT_GE(auditor.evaluations(Check::BridgeConservation), 1u);
 }
 

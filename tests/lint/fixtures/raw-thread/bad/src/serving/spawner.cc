@@ -1,4 +1,4 @@
-// Fixture: ad-hoc std::thread escapes the WorkerPool protocol.
+// Fixture: a thread started in the single-threaded simulator.
 #include <thread>
 
 void

@@ -52,7 +52,6 @@ legacyRun(SystemMode mode, unsigned n_devices, std::size_t n_requests,
     cfg.engine.model = llm::ModelConfig::opt30b();
     cfg.engine.parallel_sampling = 6;
     cfg.policy = serving::RoutePolicy::RoundRobin;
-    cfg.threads = 1;
 
     std::uint64_t block_bytes =
         std::uint64_t(cfg.engine.block_tokens) *
@@ -87,7 +86,7 @@ TEST(ScenarioBuilder, ClusterScaleMatchesHandBuiltPrivateHost)
     auto hosts = spec.hostAxis();
     ASSERT_EQ(hosts[0].name, "private");
 
-    auto built = builder.build(SystemMode::Cc, n, hosts[0], 0, 1);
+    auto built = builder.build(SystemMode::Cc, n, hosts[0], 0);
     auto spec_result =
         built.router->run(builder.poissonTrace(requests, n));
     auto legacy = legacyRun(SystemMode::Cc, n, requests,
@@ -114,7 +113,7 @@ TEST(ScenarioBuilder, ClusterScaleMatchesHandBuiltSharedHost)
               shared.bridge_bw);
 
     // Pipe exercises the shared-host lane-lead override.
-    auto built = builder.build(SystemMode::Pipe, n, hosts[1], 0, 1);
+    auto built = builder.build(SystemMode::Pipe, n, hosts[1], 0);
     auto spec_result =
         built.router->run(builder.poissonTrace(requests, n));
     auto legacy =
@@ -148,7 +147,7 @@ TEST(ScenarioBuilder, FaultSweepMatchesHandBuiltArmedPlan)
               plan.replica_restart_rate);
 
     auto built = builder.build(SystemMode::Cc, n, HostVariantSpec{},
-                               scale, 1);
+                               scale);
     auto spec_result =
         built.router->run(builder.poissonTrace(requests, n));
     auto legacy = legacyRun(SystemMode::Cc, n, requests,
@@ -213,7 +212,7 @@ TEST(ScenarioBuilder, CrashDevicesListingAllIdsMatchesEmptyList)
     auto run = [](const ScenarioSpec &spec) {
         ScenarioBuilder builder(spec);
         auto built = builder.build(SystemMode::Cc, 2,
-                                   HostVariantSpec{}, 1, 1);
+                                   HostVariantSpec{}, 1);
         return fingerprint(
             built.router->run(builder.poissonTrace(16, 2)));
     };
@@ -242,7 +241,7 @@ TEST(ScenarioBuilder, CrashDevicesRestrictsWhichReplicasDie)
     ScenarioBuilder builder(parsed.spec);
 
     auto built =
-        builder.build(SystemMode::Cc, 2, HostVariantSpec{}, 1, 1);
+        builder.build(SystemMode::Cc, 2, HostVariantSpec{}, 1);
     auto r = built.router->run(builder.poissonTrace(16, 2));
 
     // At 2 crashes/s per replica the unrestricted plan would kill

@@ -171,16 +171,6 @@ TEST(ScenarioSpec, AllParseErrorsAreCollectedNotJustTheFirst)
     ASSERT_EQ(parsed.errors.size(), 2u);
 }
 
-TEST(ScenarioSpec, ThreadsBeyondLargestReplicaCountIsRejected)
-{
-    auto parsed =
-        parseScenario(minimalText() + "threads = 8\n");
-    ASSERT_TRUE(parsed.ok());
-    auto problems = parsed.spec.validate();
-    EXPECT_TRUE(anyContains(problems, "threads (8)"));
-    EXPECT_TRUE(anyContains(problems, "largest replica count (2)"));
-}
-
 TEST(ScenarioSpec, NegativeBridgeBandwidthIsRejected)
 {
     auto parsed = parseScenario(minimalText() +
@@ -341,7 +331,6 @@ TEST(ScenarioSpec, EveryFieldSurvivesTheDumpRoundTrip)
                                 "devices_quick = 2\n"
                                 "modes = Cc Pipe\n"
                                 "policy = least_loaded\n"
-                                "threads = 2\n"
                                 "[device]\n"
                                 "channel_sample_limit = 128\n"
                                 "[engine]\n"
@@ -422,8 +411,8 @@ TEST(ScenarioSpec, EveryFieldSurvivesTheDumpRoundTrip)
                 << "'" << line << "' sets its default value";
         }
     }
-    // 63 keys across 13 sections ([host <name>] counted once).
-    EXPECT_EQ(keys_set.size(), 63u);
+    // 62 keys across 13 sections ([host <name>] counted once).
+    EXPECT_EQ(keys_set.size(), 62u);
 }
 
 TEST(ScenarioSpec, NonFiniteNumbersAreRejectedNamingTheKey)

@@ -1,8 +1,8 @@
 /**
  * @file
  * Disaggregated prefill/decode serving: role-partitioned routing,
- * prefill->decode handoff via encrypted KV migration, and the
- * worker-count independence contract extended to disaggregated runs.
+ * prefill->decode handoff via encrypted KV migration, and
+ * run-to-run bit-identity of disaggregated results.
  */
 
 #include <gtest/gtest.h>
@@ -49,8 +49,8 @@ ccFactory()
 }
 
 ClusterResult
-serveDisagg(unsigned threads, unsigned devices,
-            const fault::FaultPlan *plan, unsigned prefill_replicas = 0)
+serveDisagg(unsigned devices, const fault::FaultPlan *plan,
+            unsigned prefill_replicas = 0)
 {
     runtime::Platform platform(tinyGpu(448 * MiB),
                                crypto::ChannelConfig{}, devices,
@@ -60,7 +60,6 @@ serveDisagg(unsigned threads, unsigned devices,
     ClusterConfig cfg;
     cfg.engine = disaggEngine();
     cfg.policy = RoutePolicy::LeastLoaded;
-    cfg.threads = threads;
     cfg.disagg.enabled = true;
     cfg.disagg.prefill_replicas = prefill_replicas;
     ClusterRouter router(platform, ccFactory(), cfg);
@@ -71,8 +70,7 @@ serveDisagg(unsigned threads, unsigned devices,
 
 TEST(ClusterDisagg, EveryRequestMigratesAndCompletes)
 {
-    auto r = serveDisagg(1, 2, nullptr);
-    EXPECT_TRUE(r.sharded);
+    auto r = serveDisagg(2, nullptr);
     EXPECT_EQ(r.completed, 16u);
     EXPECT_EQ(r.dropped, 0u);
     // Fault-free: one migration per request, every chunk verified,
@@ -92,34 +90,24 @@ TEST(ClusterDisagg, EveryRequestMigratesAndCompletes)
     EXPECT_EQ(r.replicas[0].result.completed, 0u);
 }
 
-TEST(ClusterDisagg, WorkerCountNeverChangesDisaggResults)
+TEST(ClusterDisagg, RepeatedRunsAreBitIdentical)
 {
-    auto one = serveDisagg(1, 4, nullptr);
-    auto eight = serveDisagg(8, 4, nullptr);
-    auto hw = serveDisagg(0, 4, nullptr);
-    ASSERT_TRUE(one.sharded);
-    ASSERT_TRUE(eight.sharded);
-    EXPECT_EQ(fingerprint(one), fingerprint(eight));
-    EXPECT_EQ(fingerprint(one), fingerprint(hw));
-    EXPECT_EQ(one.engine_steps, eight.engine_steps);
-}
+    auto clean = serveDisagg(4, nullptr);
+    EXPECT_EQ(fingerprint(clean), fingerprint(serveDisagg(4, nullptr)));
 
-TEST(ClusterDisagg, ArmedDisaggRunsKeepThreadIndependence)
-{
     fault::FaultPlan plan;
     plan.seed = 21;
     plan.migration_tag_rate = 0.05;
     plan.migration_stall_rate = 0.02;
-    auto one = serveDisagg(1, 4, &plan);
-    auto eight = serveDisagg(8, 4, &plan);
-    EXPECT_FALSE(one.sharded);
-    EXPECT_FALSE(eight.sharded);
-    EXPECT_EQ(fingerprint(one), fingerprint(eight));
+    auto armed = serveDisagg(4, &plan);
+    auto again = serveDisagg(4, &plan);
+    EXPECT_EQ(fingerprint(armed), fingerprint(again));
+    EXPECT_EQ(armed.engine_steps, again.engine_steps);
 }
 
 TEST(ClusterDisagg, PrefillReplicaCountIsConfigurable)
 {
-    auto r = serveDisagg(1, 4, nullptr, 3);
+    auto r = serveDisagg(4, nullptr, 3);
     unsigned prefill = 0;
     std::uint64_t decode_completed = 0;
     for (const auto &rep : r.replicas) {
@@ -134,7 +122,7 @@ TEST(ClusterDisagg, PrefillReplicaCountIsConfigurable)
 TEST(ClusterDisagg, SingleDeviceClusterIgnoresDisagg)
 {
     // Disaggregation needs two roles; one device serves normally.
-    auto r = serveDisagg(1, 1, nullptr);
+    auto r = serveDisagg(1, nullptr);
     EXPECT_EQ(r.completed, 16u);
     EXPECT_EQ(r.faults.migrations, 0u);
     EXPECT_FALSE(r.replicas[0].prefill);
@@ -150,7 +138,6 @@ TEST(ClusterDisagg, DisabledDisaggChangesNothing)
     ClusterConfig cfg;
     cfg.engine = disaggEngine();
     cfg.policy = RoutePolicy::LeastLoaded;
-    cfg.threads = 1;
     ClusterRouter router(platform, ccFactory(), cfg);
     auto r = router.run(disaggTrace());
     EXPECT_EQ(r.completed, 16u);

@@ -11,7 +11,7 @@ Registered checks (``--list-checks`` prints this table):
   File-scoped pattern checks:
     deprecated-platform-alias  no-arg Platform::device()/channel()
     nondeterministic-rand-time rand()/srand()/std::time
-    raw-thread                 std::thread outside sim/worker_pool
+    raw-thread                 std::thread/std::async anywhere
     bench-config-drift         hand-rolled ClusterConfig in bench/
     printf-io                  printf-family I/O outside common/logging
     bare-mutex                 std::mutex & friends outside
@@ -214,23 +214,18 @@ def check_rand_time(ctx):
 
 @register_check(
     "raw-thread",
-    "std::thread/jthread/async outside sim/worker_pool")
+    "std::thread/jthread/async anywhere")
 def check_raw_thread(ctx):
-    # Determinism rests on every worker thread being driven by the
-    # WorkerPool's barriered parallelFor; ad-hoc std::thread /
-    # std::async escapes the (tick, shard, seq) ordering protocol.
-    # WorkerPool::hardwareConcurrency() is the sanctioned wrapper for
-    # sizing decisions.
+    # The simulator is single-threaded: the cluster co-simulation is
+    # one min-clock loop, and its determinism rests on that. A thread
+    # started anywhere races on the shared timelines.
     return pattern_check(
         re.compile(
             r"\bstd::(?:thread|jthread|async)\b"
             r"|#include\s*<(?:thread|future)>"),
         ("src", "tests", "bench", "examples"),
-        {
-            "src/sim/worker_pool.hh",
-            "src/sim/worker_pool.cc",
-        },
-        "raw threading outside sim/worker_pool",
+        set(),
+        "raw threading in the single-threaded simulator",
     )(ctx)
 
 
