@@ -6,8 +6,9 @@
  * performance, not the paper's: AES-GCM sealing, GHASH, the event
  * queue, resource booking, sparse-memory access — the per-simulated-
  * transfer costs that bound how large an experiment the harness can
- * run — and how event dispatch and engine steps scale with the
- * number of chains and replicas.
+ * run — how event dispatch and engine steps scale with the number
+ * of chains and replicas, what one predictor call costs, and what
+ * freeing a large sparse region costs.
  *
  * The sweep writes bench_results/BENCH_simcore.json. Unlike the
  * figure CSVs, BENCH_*.json files record *host* wall-clock numbers:
@@ -21,6 +22,7 @@
 #include <benchmark/benchmark.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -30,10 +32,12 @@
 #include <string>
 #include <vector>
 
+#include "common/rng.hh"
 #include "crypto/channel.hh"
 #include "crypto/gcm.hh"
 #include "llm/model.hh"
 #include "mem/sparse_memory.hh"
+#include "pipellm/patterns.hh"
 #include "runtime/cc_runtime.hh"
 #include "serving/cluster.hh"
 #include "sim/event_queue.hh"
@@ -366,6 +370,69 @@ clusterPoint(unsigned replicas, std::size_t requests_per_replica)
     return point;
 }
 
+/**
+ * A full 1,024-entry swap history: a 96-chunk layer cycle with a
+ * boundary per pass, or noisy draws among 300 chunks.
+ */
+core::SwapHistory
+benchHistory(bool cycle)
+{
+    core::SwapHistory history(1024);
+    Rng rng(11);
+    for (unsigned i = 0; i < 1024; ++i) {
+        std::uint64_t id = cycle ? i % 96 : rng.uniformInt(0, 299);
+        history.noteSwapIn(
+            core::ChunkId{Addr(0x100000 + id * 0x10000), 64 * KiB});
+        if (cycle ? id == 95 : rng.bernoulli(0.05))
+            history.noteBatchBoundary();
+    }
+    return history;
+}
+
+/** Mean host us per predict(@p history, @p n) over >= 50 ms of calls. */
+double
+predictUs(const core::PatternRecognizer &rec,
+          const core::SwapHistory &history, std::size_t n)
+{
+    std::uint64_t calls = 0;
+    double wall = 0;
+    auto t0 = std::chrono::steady_clock::now();
+    do {
+        auto pred = rec.predict(history, n);
+        benchmark::DoNotOptimize(pred.data());
+        ++calls;
+        wall = seconds(std::chrono::steady_clock::now() - t0);
+    } while (wall < 0.05);
+    return wall / double(calls) * 1e6;
+}
+
+/**
+ * Median host us of SparseMemory::free on a 26 GB region holding 3
+ * materialized pages, in an arena with 1,024 more materialized pages
+ * elsewhere (the shape of a KV pool freed at engine teardown).
+ */
+double
+sparseFreeUs(unsigned reps)
+{
+    mem::SparseMemory arena("bench", 64 * GiB);
+    auto busy = arena.alloc(4 * MiB, "busy");
+    std::vector<std::uint8_t> fill(4 * MiB, 0x5c);
+    arena.write(busy.base, fill.data(), fill.size());
+    std::vector<double> us;
+    for (unsigned rep = 0; rep < reps; ++rep) {
+        auto region = arena.alloc(26 * GiB, "kv-pool");
+        for (std::uint64_t page : {0, 100000, 6000000})
+            arena.write(region.base + page * mem::pageBytes, fill.data(),
+                        1);
+        auto t0 = std::chrono::steady_clock::now();
+        arena.free(region);
+        us.push_back(seconds(std::chrono::steady_clock::now() - t0) *
+                     1e6);
+    }
+    std::sort(us.begin(), us.end());
+    return us[us.size() / 2];
+}
+
 void
 runThroughputSweep(bool quick)
 {
@@ -443,7 +510,45 @@ runThroughputSweep(bool quick)
                      p.steps_per_sec, p.sim_requests_per_sec);
         first = false;
     }
-    std::fprintf(json, "\n  ]\n}\n");
+    std::fprintf(json, "\n  ],\n");
+
+    // Predictor: host cost of one predict call on a full history.
+    std::printf("\n=== predictor: us per predict call ===\n");
+    std::fprintf(json, "  \"predictor\": [\n");
+    first = true;
+    const core::RepetitiveRecognizer repetitive;
+    const core::MarkovRecognizer markov;
+    for (bool cycle : {true, false}) {
+        auto history = benchHistory(cycle);
+        const char *shape = cycle ? "cycle96" : "noisy300";
+        for (const core::PatternRecognizer *rec :
+             {static_cast<const core::PatternRecognizer *>(&repetitive),
+              static_cast<const core::PatternRecognizer *>(&markov)}) {
+            for (std::size_t n : {std::size_t(1), std::size_t(64)}) {
+                double us = predictUs(*rec, history, n);
+                std::printf("%-10s %-8s n=%-2zu %9.2f us\n", rec->name(),
+                            shape, n, us);
+                std::fprintf(json,
+                             "%s    {\"recognizer\": \"%s\", "
+                             "\"history\": \"%s\", \"entries\": %zu, "
+                             "\"n\": %zu, \"us_per_call\": %.3f}",
+                             first ? "" : ",\n", rec->name(), shape,
+                             history.swapIns().size(), n, us);
+                first = false;
+            }
+        }
+    }
+    std::fprintf(json, "\n  ],\n");
+
+    // Sparse arena: freeing a large, barely materialized region.
+    double free_us = sparseFreeUs(quick ? 3 : 9);
+    std::printf("\n=== sparse memory ===\nfree 26 GB region: %.1f us\n",
+                free_us);
+    std::fprintf(json,
+                 "  \"sparse_free\": {\"region_gb\": 26, "
+                 "\"region_pages\": 3, \"other_pages\": 1024, "
+                 "\"median_us\": %.1f}\n}\n",
+                 free_us);
     std::fclose(json);
     std::printf("\nwrote bench_results/BENCH_simcore.json\n");
 }

@@ -122,14 +122,4 @@ Rng::jitterTicks(Tick span)
     return uniformInt(0, span);
 }
 
-std::uint8_t
-Rng::syntheticByte(std::uint64_t region_id, std::uint64_t offset)
-{
-    std::uint64_t x = region_id * 0x9e3779b97f4a7c15ull + offset;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    x ^= x >> 31;
-    return std::uint8_t(x);
-}
-
 } // namespace pipellm

@@ -58,8 +58,16 @@ class Rng
      * Deterministic byte for synthetic memory content: a hash of the
      * (region identity, offset) pair, stable across runs.
      */
-    static std::uint8_t syntheticByte(std::uint64_t region_id,
-                                      std::uint64_t offset);
+    static std::uint8_t
+    syntheticByte(std::uint64_t region_id, std::uint64_t offset)
+    {
+        // Inline so page-filling loops over it can vectorize.
+        std::uint64_t x = region_id * 0x9e3779b97f4a7c15ull + offset;
+        x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+        x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+        x ^= x >> 31;
+        return std::uint8_t(x);
+    }
 
   private:
     std::uint64_t state_[4];

@@ -10,6 +10,20 @@
 namespace pipellm {
 namespace mem {
 
+namespace {
+
+/** Synthetic content of @p n bytes at @p addr inside @p region. */
+void
+fillSynthetic(const Region &region, Addr addr, std::uint8_t *out,
+              std::uint64_t n)
+{
+    std::uint64_t offset = addr - region.base;
+    for (std::uint64_t i = 0; i < n; ++i)
+        out[i] = Rng::syntheticByte(region.id, offset + i);
+}
+
+} // namespace
+
 const char *
 toString(MemSpace space)
 {
@@ -104,12 +118,6 @@ SparseMemory::covered(Addr addr, std::uint64_t len) const
     return it->second.contains(addr, len == 0 ? 1 : len);
 }
 
-std::uint8_t
-SparseMemory::syntheticAt(const Region &region, Addr addr) const
-{
-    return Rng::syntheticByte(region.id, addr - region.base);
-}
-
 std::uint64_t
 SparseMemory::bytesAllocated(MemSpace space) const
 {
@@ -139,8 +147,7 @@ SparseMemory::read(Addr addr, std::uint8_t *out, std::uint64_t len)
         if (it != pages_.end()) {
             std::memcpy(out, it->second.data() + off, chunk);
         } else {
-            for (std::uint64_t i = 0; i < chunk; ++i)
-                out[i] = syntheticAt(region, cur + i);
+            fillSynthetic(region, cur, out, chunk);
         }
         out += chunk;
         cur += chunk;
@@ -180,8 +187,8 @@ SparseMemory::write(Addr addr, const std::uint8_t *data,
             // Materialize with the page's synthetic content so bytes
             // outside the written span stay consistent.
             std::vector<std::uint8_t> backing(pageBytes);
-            for (std::uint64_t i = 0; i < pageBytes; ++i)
-                backing[i] = syntheticAt(region, pageBase(page) + i);
+            fillSynthetic(region, pageBase(page), backing.data(),
+                          pageBytes);
             it = pages_.emplace(page, std::move(backing)).first;
         }
         std::memcpy(it->second.data() + off, data, chunk);
@@ -206,8 +213,18 @@ SparseMemory::discardPagesLocked(Addr addr, std::uint64_t len)
         return;
     std::uint64_t first = pageIndex(addr);
     std::uint64_t last = pageIndex(addr + len - 1);
-    for (std::uint64_t p = first; p <= last; ++p)
-        pages_.erase(p);
+    // Walk whichever set is smaller. A freed weight or KV-pool region
+    // spans millions of page indices of which only a handful were
+    // ever materialized, while a small discard inside a busy arena
+    // touches a few indices of many pages.
+    if (last - first < pages_.size()) {
+        for (std::uint64_t p = first; p <= last; ++p)
+            pages_.erase(p);
+    } else {
+        std::erase_if(pages_, [first, last](const auto &page) {
+            return page.first >= first && page.first <= last;
+        });
+    }
 }
 
 } // namespace mem

@@ -103,7 +103,8 @@ class SparseMemory
     /**
      * Drop materialized pages in the range, reverting them to
      * synthetic content. Used to model "the placeholder still holds
-     * garbage/ciphertext" without storing it.
+     * garbage/ciphertext" without storing it. Costs
+     * O(min(pages in range, materialized pages)), so is free().
      */
     void discardPages(Addr addr, std::uint64_t len);
 
@@ -145,7 +146,6 @@ class SparseMemory
         REQUIRES(mu_);
     void discardPagesLocked(Addr addr, std::uint64_t len)
         REQUIRES(mu_);
-    std::uint8_t syntheticAt(const Region &region, Addr addr) const;
 
     /**
      * The host arena is shared by every replica shard, so its

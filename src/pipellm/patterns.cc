@@ -12,58 +12,82 @@ RepetitiveRecognizer::RepetitiveRecognizer(std::size_t max_context,
 {
 }
 
-namespace {
-
-/**
- * Length of the common suffix between h[..i) and h[..j), capped.
- * Indices are positions one past the suffix end.
- */
-std::size_t
-commonSuffix(const std::vector<ChunkId> &h, std::size_t i,
-             std::size_t j, std::size_t cap)
-{
-    std::size_t l = 0;
-    while (l < cap && l < i && l < j && h[i - 1 - l] == h[j - 1 - l])
-        ++l;
-    return l;
-}
-
-} // namespace
-
 std::vector<PredictedSwap>
 RepetitiveRecognizer::predict(const SwapHistory &history,
                               std::size_t n) const
 {
-    // Work on mutable copies so multi-step prediction can extend the
-    // sequence with its own guesses; batch ids extend in parallel so
-    // boundary predictions replay the source cycle's boundaries.
-    std::vector<ChunkId> h(history.swapIns().begin(),
-                           history.swapIns().end());
-    std::vector<std::uint32_t> b(history.batchIds().begin(),
-                                 history.batchIds().end());
-    if (h.size() < 2)
+    const auto &h = history.swapIns();
+    const auto &b = history.batchIds();
+    const std::size_t hist = h.size();
+    const std::size_t cap = max_context_;
+    if (hist < 2 || cap == 0)
         return {};
 
+    // The sequence searched is the history followed by this call's
+    // own guesses, so multi-step prediction extends it as it goes.
+    // Positions are absolute; only the tail the scan can reach, from
+    // `first` on, is copied.
+    const std::size_t first =
+        hist > scan_limit_ + cap + 1 ? hist - scan_limit_ - cap - 1 : 0;
+    std::vector<ChunkId> seq(h.begin() + std::ptrdiff_t(first), h.end());
+    auto at = [&](std::size_t k) -> const ChunkId & {
+        return seq[k - first];
+    };
+    // Batch ids of the guesses extend the history's in parallel, so
+    // boundary predictions replay the source cycle's boundaries.
+    std::vector<std::uint32_t> guess_batch;
+    auto batchAt = [&](std::size_t k) {
+        return k < hist ? b[k] : guess_batch[k - hist];
+    };
+
+    // The context at position j is the length of the common suffix of
+    // the sequence up to j and of the whole sequence, capped. Each step
+    // replays what followed the longest context in the scan window, the
+    // most recent one on a tie. ctx[j - first] holds the context at j
+    // and the step that computed it; an entry from an older step stands
+    // for 0, so a step writes only the positions that match.
+    struct Ctx
+    {
+        std::size_t step = 0;
+        std::size_t len = 0;
+    };
+    std::vector<Ctx> ctx(seq.size());
     std::vector<PredictedSwap> out;
-    std::uint32_t synthetic_batch = b.empty() ? 0 : b.back();
-    for (std::size_t step = 0; step < n; ++step) {
-        std::size_t m = h.size();
-        std::size_t best_len = 0;
-        std::size_t best_j = 0;
-        // Find the earlier position with the longest matching context.
-        // Scan backwards so ties prefer the most recent occurrence;
-        // the scan is bounded so degenerate histories stay cheap.
-        std::size_t j_min =
-            m - 1 > scan_limit_ ? m - 1 - scan_limit_ : 1;
-        for (std::size_t j = m - 1; j >= j_min; --j) {
-            if (h[j - 1] == h[m - 1]) {
-                std::size_t l = commonSuffix(h, j, m, max_context_);
-                if (l > best_len) {
-                    best_len = l;
-                    best_j = j;
-                    if (l >= max_context_)
-                        break;
-                }
+    std::uint32_t synthetic_batch = b.back();
+    std::size_t best_j = 0;
+    std::size_t best_len = 0;
+    for (std::size_t step = 1; out.size() < n; ++step) {
+        const std::size_t m = first + seq.size();
+        const ChunkId &last = at(m - 1);
+        // Once a context reaches the cap, the one after it is capped at
+        // the next step (it ends with the guess just replayed), so from
+        // then on only positions above the last winner can win.
+        const std::size_t lo =
+            best_len >= cap ? best_j + 1
+            : m - 1 > scan_limit_ ? m - 1 - scan_limit_
+                                  : 1;
+        best_len = 0;
+        // Scan backwards so ties prefer the most recent occurrence.
+        for (std::size_t j = m - 1; j >= lo; --j) {
+            if (!(at(j - 1) == last))
+                continue;
+            std::size_t l = 0;
+            if (step == 1) {
+                while (l < cap && l < j && at(j - 1 - l) == at(m - 1 - l))
+                    ++l;
+            } else {
+                // One longer than the context at j - 1 was a step ago;
+                // walking down leaves that entry still unwritten.
+                const Ctx &before = ctx[j - 1 - first];
+                l = std::min(cap,
+                             (before.step == step - 1 ? before.len : 0) + 1);
+            }
+            ctx[j - first] = Ctx{step, l};
+            if (l > best_len) {
+                best_len = l;
+                best_j = j;
+                if (l >= cap)
+                    break;
             }
         }
         if (best_len == 0)
@@ -71,13 +95,14 @@ RepetitiveRecognizer::predict(const SwapHistory &history,
 
         // What followed the matched context, and whether a batch
         // boundary sat between the matched position and its successor.
-        ChunkId next = h[best_j];
-        bool boundary = b[best_j] != b[best_j - 1];
+        ChunkId next = at(best_j);
+        bool boundary = batchAt(best_j) != batchAt(best_j - 1);
         if (boundary)
             ++synthetic_batch;
         out.push_back(PredictedSwap{next, boundary});
-        h.push_back(next);
-        b.push_back(synthetic_batch);
+        seq.push_back(next);
+        guess_batch.push_back(synthetic_batch);
+        ctx.emplace_back();
     }
     return out;
 }
@@ -156,38 +181,47 @@ MarkovRecognizer::predict(const SwapHistory &history,
     if (h.size() < 2)
         return {};
 
-    // Successor frequency table, built per call from the rolling
-    // history (capped, so this stays cheap); tracks whether the
-    // transition most often crosses a batch boundary.
+    // Successor frequencies over a recent window of the rolling
+    // history; each edge tracks whether the transition most often
+    // crosses a batch boundary. Only the chunks the walk visits need
+    // their successor set, each built by one pass over the window's
+    // source addresses, copied once. A set receives its keys in window
+    // order, so its iteration order (which breaks count ties below) is
+    // that of a table built over every chunk at once.
     struct Edge
     {
         unsigned count = 0;
         unsigned boundary = 0;
     };
-    std::unordered_map<ChunkId,
-                       std::unordered_map<ChunkId, Edge, ChunkIdHash>,
-                       ChunkIdHash>
-        successors;
-    // Bound the rebuild to a recent window; the table is rebuilt on
-    // every prediction, so the window caps per-call cost.
-    std::size_t first = h.size() > 256 ? h.size() - 256 : 0;
-    for (std::size_t i = first; i + 1 < h.size(); ++i) {
-        auto &edge = successors[h[i]][h[i + 1]];
-        ++edge.count;
-        if (b[i + 1] != b[i])
-            ++edge.boundary;
-    }
+    using Successors = std::unordered_map<ChunkId, Edge, ChunkIdHash>;
+    const std::size_t first = h.size() > 256 ? h.size() - 256 : 0;
+    std::vector<Addr> sources;
+    sources.reserve(h.size() - 1 - first);
+    for (auto it = h.begin() + std::ptrdiff_t(first); it + 1 != h.end();
+         ++it)
+        sources.push_back(it->addr);
+    auto successorsOf = [&](const ChunkId &chunk) {
+        Successors succ;
+        for (std::size_t t = 0; t < sources.size(); ++t) {
+            std::size_t i = first + t;
+            if (sources[t] != chunk.addr || !(h[i] == chunk))
+                continue;
+            auto &edge = succ[h[i + 1]];
+            ++edge.count;
+            if (b[i + 1] != b[i])
+                ++edge.boundary;
+        }
+        return succ;
+    };
 
     std::vector<PredictedSwap> out;
     ChunkId cur = h.back();
     std::unordered_map<ChunkId, unsigned, ChunkIdHash> visits;
     while (out.size() < n) {
-        auto it = successors.find(cur);
-        if (it == successors.end())
-            break;
         const ChunkId *best = nullptr;
         const Edge *best_edge = nullptr;
-        for (const auto &[next, edge] : it->second) {
+        const Successors succ = successorsOf(cur);
+        for (const auto &[next, edge] : succ) {
             if (!best || edge.count > best_edge->count) {
                 best = &next;
                 best_edge = &edge;

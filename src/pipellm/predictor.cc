@@ -14,6 +14,7 @@ Predictor::Predictor(const PredictorConfig &config)
     recognizers_.push_back(std::make_unique<LifoGroupRecognizer>());
     recognizers_.push_back(std::make_unique<MarkovRecognizer>());
     accuracy_.assign(recognizers_.size(), 0.0);
+    cache_.resize(recognizers_.size());
 }
 
 void
@@ -21,6 +22,7 @@ Predictor::registerRecognizer(std::unique_ptr<PatternRecognizer> rec)
 {
     recognizers_.push_back(std::move(rec));
     accuracy_.push_back(0.0);
+    cache_.emplace_back();
 }
 
 void
@@ -31,7 +33,7 @@ Predictor::noteSwapIn(const ChunkId &chunk)
     bool any_hit = false;
     bool any_prediction = false;
     for (std::size_t i = 0; i < recognizers_.size(); ++i) {
-        auto shadow = recognizers_[i]->predict(history_, 1);
+        const auto &shadow = predictionOf(i, 1);
         double hit = 0.0;
         if (!shadow.empty()) {
             any_prediction = true;
@@ -48,18 +50,41 @@ Predictor::noteSwapIn(const ChunkId &chunk)
         shadow_hits_ += any_hit ? 1 : 0;
     }
     history_.noteSwapIn(chunk);
+    dropPredictions();
 }
 
 void
 Predictor::noteSwapOut(const ChunkId &chunk)
 {
     history_.noteSwapOut(chunk);
+    dropPredictions();
 }
 
 void
 Predictor::noteBatchBoundary()
 {
     history_.noteBatchBoundary();
+    dropPredictions();
+}
+
+void
+Predictor::dropPredictions()
+{
+    for (auto &c : cache_) {
+        c.asked = 0;
+        c.pred.clear();
+    }
+}
+
+const std::vector<PredictedSwap> &
+Predictor::predictionOf(std::size_t i, std::size_t n) const
+{
+    Cached &c = cache_[i];
+    if (n > c.asked && c.pred.size() == c.asked) {
+        c.pred = recognizers_[i]->predict(history_, n);
+        c.asked = n;
+    }
+    return c.pred;
 }
 
 std::size_t
@@ -76,15 +101,14 @@ Predictor::bestRecognizer() const
 std::vector<PredictedSwap>
 Predictor::predictNext(std::size_t n) const
 {
-    auto pred = recognizers_[bestRecognizer()]->predict(history_, n);
-    if (pred.empty()) {
-        // Fall back to any recognizer with a signal.
-        for (const auto &r : recognizers_) {
-            pred = r->predict(history_, n);
-            if (!pred.empty())
-                break;
-        }
-    }
+    const auto *found = &predictionOf(bestRecognizer(), n);
+    // Fall back to any recognizer with a signal.
+    for (std::size_t i = 0; found->empty() && i < recognizers_.size();
+         ++i)
+        found = &predictionOf(i, n);
+    std::vector<PredictedSwap> pred(
+        found->begin(),
+        found->begin() + std::ptrdiff_t(std::min(n, found->size())));
     if (config_.sabotage_sequence && pred.size() > 1)
         std::rotate(pred.begin(), pred.begin() + 1, pred.end());
     return pred;

@@ -61,7 +61,9 @@ class Predictor
     /**
      * Register an additional pattern recognizer (§5.1: "PipeLLM's
      * predictor is general and can easily extend to other patterns").
-     * It immediately joins the accuracy race on equal terms.
+     * It immediately joins the accuracy race on equal terms. Its
+     * predictions must depend on the history alone: they are cached
+     * until the history next changes.
      */
     void registerRecognizer(std::unique_ptr<PatternRecognizer> rec);
 
@@ -79,12 +81,31 @@ class Predictor
     std::uint64_t shadowTotal() const { return shadow_total_; }
 
   private:
+    /**
+     * One recognizer's prediction for the current history, computed
+     * for @c asked steps. Every recognizer is a const function of the
+     * history and its n-step output is a prefix of any longer one, so
+     * the entry answers every request up to @c asked, and any larger
+     * one when it came back short (the recognizer stopped). Dropped
+     * whenever the history changes.
+     */
+    struct Cached
+    {
+        std::size_t asked = 0;
+        std::vector<PredictedSwap> pred;
+    };
+
     std::size_t bestRecognizer() const;
+    /** Recognizer @p i's prediction, at least @p n steps if it has them. */
+    const std::vector<PredictedSwap> &predictionOf(std::size_t i,
+                                                   std::size_t n) const;
+    void dropPredictions();
 
     PredictorConfig config_;
     SwapHistory history_;
     std::vector<std::unique_ptr<PatternRecognizer>> recognizers_;
     std::vector<double> accuracy_;
+    mutable std::vector<Cached> cache_;
     std::uint64_t shadow_hits_ = 0;
     std::uint64_t shadow_total_ = 0;
 };

@@ -97,6 +97,114 @@ TEST(SparseMemory, DiscardPagesRestoresSyntheticContent)
     EXPECT_EQ(arena.readSample(r.base, 32), synthetic);
 }
 
+namespace {
+
+/** Overwrite one byte in page @p page of @p r with 0xee. */
+void
+dirtyPage(SparseMemory &arena, const Region &r, std::uint64_t page)
+{
+    std::uint8_t v = 0xee;
+    arena.write(r.base + page * pageBytes + 7, &v, 1);
+}
+
+bool
+pageDirty(SparseMemory &arena, const Region &r, std::uint64_t page)
+{
+    return arena.readSample(r.base + page * pageBytes + 7, 1)[0] == 0xee;
+}
+
+} // namespace
+
+TEST(SparseMemory, DiscardRangeSmallerThanMaterializedSet)
+{
+    // 64 + 4 materialized pages; the discard spans 3 page indices,
+    // starting and ending mid-page, so the range itself is walked.
+    SparseMemory arena("host", 1 * GiB);
+    auto a = arena.alloc(64 * pageBytes, "a");
+    auto b = arena.alloc(4 * pageBytes, "b");
+    for (std::uint64_t p = 0; p < 64; ++p)
+        dirtyPage(arena, a, p);
+    for (std::uint64_t p = 0; p < 4; ++p)
+        dirtyPage(arena, b, p);
+    ASSERT_EQ(arena.materializedPages(), 68u);
+
+    arena.discardPages(a.base + 10 * pageBytes + 100,
+                       2 * pageBytes + 10);
+    EXPECT_EQ(arena.materializedPages(), 65u);
+    for (std::uint64_t p = 0; p < 64; ++p)
+        EXPECT_EQ(pageDirty(arena, a, p), p < 10 || p > 12) << p;
+    for (std::uint64_t p = 0; p < 4; ++p)
+        EXPECT_TRUE(pageDirty(arena, b, p)) << p;
+}
+
+TEST(SparseMemory, DiscardRangeLargerThanMaterializedSet)
+{
+    // 5 materialized pages; the discard spans 63 page indices,
+    // starting and ending mid-page, so the materialized set is walked.
+    SparseMemory arena("host", 1 * GiB);
+    auto a = arena.alloc(64 * pageBytes, "a");
+    auto b = arena.alloc(4 * pageBytes, "b");
+    for (std::uint64_t p : {0, 5, 63})
+        dirtyPage(arena, a, p);
+    dirtyPage(arena, b, 0);
+    dirtyPage(arena, b, 1);
+    ASSERT_EQ(arena.materializedPages(), 5u);
+
+    arena.discardPages(a.base + 100, 62 * pageBytes + 7);
+    EXPECT_EQ(arena.materializedPages(), 3u);
+    EXPECT_FALSE(pageDirty(arena, a, 0));
+    EXPECT_FALSE(pageDirty(arena, a, 5));
+    EXPECT_TRUE(pageDirty(arena, a, 63));
+    EXPECT_TRUE(pageDirty(arena, b, 0));
+    EXPECT_TRUE(pageDirty(arena, b, 1));
+}
+
+TEST(SparseMemory, FreeDropsOnlyItsOwnPages)
+{
+    SparseMemory arena("host", 4 * GiB);
+    // Freed region smaller than the materialized set.
+    auto small = arena.alloc(2 * pageBytes - 100, "small");
+    auto busy = arena.alloc(16 * pageBytes, "busy");
+    dirtyPage(arena, small, 0);
+    dirtyPage(arena, small, 1);
+    for (std::uint64_t p = 0; p < 16; ++p)
+        dirtyPage(arena, busy, p);
+    arena.free(small);
+    EXPECT_EQ(arena.materializedPages(), 16u);
+
+    // Freed region larger than the materialized set; its neighbour
+    // on the other side keeps its pages too.
+    auto big = arena.alloc(1 * GiB, "big");
+    auto after = arena.alloc(pageBytes, "after");
+    dirtyPage(arena, big, 0);
+    dirtyPage(arena, big, 1000);
+    dirtyPage(arena, after, 0);
+    arena.free(big);
+    EXPECT_EQ(arena.materializedPages(), 17u);
+    for (std::uint64_t p = 0; p < 16; ++p)
+        EXPECT_TRUE(pageDirty(arena, busy, p)) << p;
+    EXPECT_TRUE(pageDirty(arena, after, 0));
+}
+
+TEST(SparseMemory, FreeOfTebibyteRegionDropsItsFewPages)
+{
+    // 2^28 page indices, 3 of them materialized (the last one a
+    // partial page): free() must drop exactly those 3.
+    SparseMemory arena("host", 2 * 1024 * GiB);
+    auto huge = arena.alloc(1024 * GiB - 100, "huge");
+    auto other = arena.alloc(pageBytes, "other");
+    std::uint64_t pages = (huge.len + pageBytes - 1) / pageBytes;
+    dirtyPage(arena, huge, 0);
+    dirtyPage(arena, huge, pages / 2);
+    dirtyPage(arena, huge, pages - 1);
+    dirtyPage(arena, other, 0);
+    ASSERT_EQ(arena.materializedPages(), 4u);
+    arena.free(huge);
+    EXPECT_EQ(arena.materializedPages(), 1u);
+    EXPECT_TRUE(pageDirty(arena, other, 0));
+    EXPECT_EQ(arena.bytesAllocated(), pageBytes);
+}
+
 TEST(SparseMemory, RegionOfFindsOwner)
 {
     SparseMemory arena("host", 1 * GiB);
